@@ -15,7 +15,6 @@ from .align import (
     label_pair,
     mix_datasets,
     read_labeled_jsonl,
-    validate_example,
     write_labeled_jsonl,
 )
 from .compressor import (
@@ -54,6 +53,7 @@ from .errors import (
     InstructionTooLong,
     InsufficientData,
     LengthMismatch,
+    RecordError,
     SequenceTooLong,
     ShapeMismatch,
     TransportError,

@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+from pathlib import Path
+
+from .errors import EfpcError, RecordError
 
 
 def round_half_up(x: float) -> int:
@@ -22,3 +26,52 @@ def digest_obj(obj) -> str:
     """Stable hex digest of a JSON-serializable object."""
     payload = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def read_jsonl(path, build, required=()) -> list:
+    """``build(record)`` for each JSON object line of a UTF-8 JSONL file.
+
+    Blank lines are skipped. A line that is not UTF-8 JSON, is not an
+    object, lacks a field named in ``required``, or makes ``build`` raise
+    a ``TypeError``, ``ValueError`` or package error, raises
+    :class:`RecordError` with the message ``path:line: reason``.
+    """
+    records = []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line.decode("utf-8"))
+                if not isinstance(rec, dict):
+                    raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+                missing = [key for key in required if key not in rec]
+                if missing:
+                    raise ValueError(f"missing field {missing[0]!r}")
+                records.append(build(rec))
+            except (EfpcError, TypeError, ValueError) as exc:
+                raise RecordError(f"{path}:{lineno}: {exc}") from exc
+    return records
+
+
+def write_jsonl(path, records) -> None:
+    """One compact JSON object per line, UTF-8 with LF line endings."""
+    text = "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in records)
+    write_atomic(path, text.encode("utf-8"))
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` all at once.
+
+    The bytes go to a temporary file next to ``path`` that is then renamed
+    over it, so a write that fails part way leaves the previous file whole.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -11,11 +11,10 @@ reports how many did.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
-from ._util import round_half_up
+from ._util import read_jsonl, round_half_up, write_jsonl
 from .distill import DistilledDataset
 from .errors import LengthMismatch
 from .text_core import normalize_word, split_words
@@ -41,8 +40,9 @@ class LabeledExample:
     """Words of the (optional) instruction plus original text, with labels.
 
     ``boundary_m`` counts instruction words; ``words[:boundary_m]`` is the
-    instruction, the rest is the original text. Labels cover every word:
-    instruction words always carry 0 since they are never kept as output.
+    instruction, the rest is the original text. Labels are 0 or 1 and cover
+    every word: instruction words always carry 0 since they are never kept
+    as output.
     """
 
     words: tuple[str, ...]
@@ -56,6 +56,10 @@ class LabeledExample:
             )
         if not 0 <= self.boundary_m <= len(self.words):
             raise LengthMismatch(f"boundary {self.boundary_m} outside example")
+        if any(label not in (0, 1) for label in self.labels):
+            raise LengthMismatch("labels must be 0 or 1")
+        if any(self.labels[: self.boundary_m]):
+            raise LengthMismatch("instruction words must carry label 0")
 
 
 def label_pair(original_words: list[str], compressed_words: list[str]) -> AlignmentResult:
@@ -123,16 +127,6 @@ def label_distilled_pairs(
     return examples
 
 
-def validate_example(example: LabeledExample) -> None:
-    """Raise LengthMismatch on structural problems; no-op when sound."""
-    if len(example.words) != len(example.labels):
-        raise LengthMismatch("word/label length mismatch")
-    if any(label not in (0, 1) for label in example.labels):
-        raise LengthMismatch("labels must be 0 or 1")
-    if any(example.labels[: example.boundary_m]):
-        raise LengthMismatch("instruction words must carry label 0")
-
-
 def mix_datasets(
     aware: list[LabeledExample],
     agnostic: list[LabeledExample],
@@ -163,30 +157,24 @@ def mix_datasets(
 
 def write_labeled_jsonl(examples: list[LabeledExample], path) -> None:
     """One JSON object per example, UTF-8 with LF line endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for ex in examples:
-            record = {
-                "instruction": " ".join(ex.words[: ex.boundary_m]),
-                "original_words": list(ex.words[ex.boundary_m :]),
-                "labels": list(ex.labels),
-                "boundary_m": ex.boundary_m,
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    records = [
+        {
+            "instruction": " ".join(ex.words[: ex.boundary_m]),
+            "original_words": list(ex.words[ex.boundary_m :]),
+            "labels": list(ex.labels),
+            "boundary_m": ex.boundary_m,
+        }
+        for ex in examples
+    ]
+    write_jsonl(path, records)
 
 
 def read_labeled_jsonl(path) -> list[LabeledExample]:
-    examples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            instr_words = split_words(rec.get("instruction", "")).words
-            example = LabeledExample(
-                words=instr_words + tuple(rec["original_words"]),
-                labels=tuple(rec["labels"]),
-                boundary_m=rec["boundary_m"],
-            )
-            validate_example(example)
-            examples.append(example)
-    return examples
+    def build(rec):
+        return LabeledExample(
+            words=split_words(rec.get("instruction", "")).words + tuple(rec["original_words"]),
+            labels=tuple(rec["labels"]),
+            boundary_m=rec["boundary_m"],
+        )
+
+    return read_jsonl(path, build, required=("original_words", "labels", "boundary_m"))

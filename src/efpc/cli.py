@@ -7,13 +7,15 @@ next to their primary output recording the effective config digest, input
 digests, and library versions — never timestamps — so identical runs
 produce identical trees.
 
-Exit codes: 0 success, 1 user error (flags, config, missing files),
-2 runtime failure (provider, data, or checkpoint trouble).
+Exit codes: 0 success, 1 user error (flags, config, unreadable files, or a
+malformed data record, reported as ``path:line: reason``), 2 runtime
+failure (provider, pipeline, or checkpoint trouble).
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import platform
 import sys
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import digest_obj, sha256_file
+from ._util import digest_obj, read_jsonl, sha256_file, write_atomic, write_jsonl
 from .align import (
     label_distilled_pairs,
     read_labeled_jsonl,
@@ -31,7 +33,6 @@ from .align import (
 )
 from .compressor import CompressionRequest, compress
 from .distill import (
-    DistilledDataset,
     HttpProvider,
     LlmProvider,
     MockProvider,
@@ -40,7 +41,7 @@ from .distill import (
     read_pairs_jsonl,
     write_pairs_jsonl,
 )
-from .errors import ConfigParseError, ConfigValidationError, EfpcError
+from .errors import ConfigParseError, ConfigValidationError, EfpcError, RecordError
 from .evaluation import (
     ContextAnswerTarget,
     QARecord,
@@ -96,16 +97,6 @@ class RunConfig:
     paths: dict = field(default_factory=dict)
     seed: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "provider": dict(self.provider),
-            "model": dict(self.model),
-            "train": dict(self.train),
-            "compress": dict(self.compress),
-            "paths": dict(self.paths),
-            "seed": self.seed,
-        }
-
 
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON config file."""
@@ -145,7 +136,7 @@ def load_config(path) -> RunConfig:
 
 
 def _args_config(args) -> RunConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return load_config(args.config)
     return RunConfig()
 
@@ -166,7 +157,7 @@ def _need(value, what: str):
 
 
 def _provider_from(cfg: RunConfig, args) -> LlmProvider:
-    mock = _pick(getattr(args, "mock", None), cfg.provider, "mock", True)
+    mock = _pick(args.mock, cfg.provider, "mock", True)
     if mock:
         return MockProvider()
     base_url = _need(_pick(args.base_url, cfg.provider, "base_url"), "--base-url")
@@ -176,47 +167,50 @@ def _provider_from(cfg: RunConfig, args) -> LlmProvider:
     return HttpProvider(base_url=base_url, model_name=model_name)
 
 
-def _model_config(cfg: RunConfig, args, vocab_size: int) -> ModelConfig:
-    m = cfg.model
-    seed = _pick(getattr(args, "seed", None), m, "seed", cfg.seed or 0)
-    return ModelConfig(
-        vocab_size=vocab_size,
-        embed_dim=_pick(getattr(args, "embed_dim", None), m, "embed_dim", 64),
-        num_layers=_pick(getattr(args, "layers", None), m, "num_layers", 2),
-        num_heads=_pick(getattr(args, "heads", None), m, "num_heads", 4),
-        ffn_dim=_pick(getattr(args, "ffn_dim", None), m, "ffn_dim", 128),
-        max_seq_len=_pick(getattr(args, "max_seq_len", None), m, "max_seq_len", 256),
-        seed=seed,
-    )
+def _default(fn, name: str):
+    """Default of parameter ``name`` of a function or config dataclass."""
+    return inspect.signature(fn).parameters[name].default
 
 
-def _train_config(cfg: RunConfig, args) -> TrainConfig:
-    t = cfg.train
-    seed = _pick(getattr(args, "seed", None), t, "seed", cfg.seed or 0)
-    return TrainConfig(
-        learning_rate=_pick(getattr(args, "lr", None), t, "learning_rate", 1e-5),
-        batch_size=_pick(getattr(args, "batch_size", None), t, "batch_size", 10),
-        epochs=_pick(getattr(args, "epochs", None), t, "epochs", 10),
-        loss_variant=_pick(getattr(args, "loss", None), t, "loss_variant", "mask"),
-        seed=seed,
-    )
+def _with_default(text: str, fn, name: str) -> str:
+    return f"{text} (default {_default(fn, name):g})"
 
 
-# -------------------------------------------------------------- manifests
+# config key -> dest of the flag that overrides it, where the names differ
+_FLAG_DEST = {
+    "num_layers": "layers",
+    "num_heads": "heads",
+    "learning_rate": "lr",
+    "loss_variant": "loss",
+}
 
 
-def _input_digests(inputs: list) -> dict:
+def _settings(cfg: RunConfig, args, section: str) -> dict:
+    """Key -> value for each key of a model or train section that a flag or
+    the config file sets; the section's seed falls back to the top-level
+    one. Keys set nowhere are left out, so the dataclass default applies."""
+    values = getattr(cfg, section)
+    picked = {
+        key: _pick(getattr(args, _FLAG_DEST.get(key, key)), values, key)
+        for key in _SECTION_KEYS[section]
+    }
+    if picked["seed"] is None:
+        picked["seed"] = cfg.seed
+    return {key: value for key, value in picked.items() if value is not None}
+
+
+# ------------------------------------------------------- manifests, reports
+
+
+def _manifest(command: str, settings: dict, cfg: RunConfig, inputs: list) -> dict:
+    """Run record: run id, effective config and its digest, input digests,
+    library versions."""
+    effective_config = {"command": command, **settings, "config": asdict(cfg)}
     # keyed by basename, not full path, so identical runs in different
     # directories produce identical manifests and run ids
-    return {Path(p).name: sha256_file(p) for p in inputs}
-
-
-def _write_manifest(
-    out_path, command: str, effective_config: dict, inputs: list
-) -> None:
-    digests = _input_digests(inputs)
+    digests = {Path(p).name: sha256_file(p) for p in inputs}
     config_digest = digest_obj(effective_config)
-    manifest = {
+    return {
         "run_id": digest_obj(
             {"command": command, "config": config_digest, "inputs": digests}
         )[:12],
@@ -230,17 +224,16 @@ def _write_manifest(
             "numpy": np.__version__,
         },
     }
-    path = Path(str(out_path) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _run_identity(command: str, effective_config: dict, inputs: list) -> tuple[str, str]:
-    digests = _input_digests(inputs)
-    config_digest = digest_obj(effective_config)
-    run_id = digest_obj(
-        {"command": command, "config": config_digest, "inputs": digests}
-    )[:12]
-    return run_id, config_digest
+def _run_identity(manifest: dict) -> dict:
+    return {"run_id": manifest["run_id"], "config_digest": manifest["config_digest"]}
+
+
+def _write_json(path, obj) -> None:
+    """Indented, key-sorted UTF-8 JSON; the file is replaced atomically."""
+    text = json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    write_atomic(path, text.encode("utf-8"))
 
 
 # ------------------------------------------------------------ subcommands
@@ -251,18 +244,12 @@ def _read_corpus(path) -> tuple[list[str], list[str]]:
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"corpus not found: {path}")
-    if p.suffix == ".jsonl":
-        docs, instructions = [], []
-        with open(p, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                docs.append(rec["text"])
-                instructions.append(rec.get("instruction", ""))
-        return docs, instructions
-    text = p.read_text(encoding="utf-8")
-    return [text], [""]
+    if p.suffix != ".jsonl":
+        return [p.read_text(encoding="utf-8")], [""]
+    records = read_jsonl(
+        path, lambda rec: (rec["text"], rec.get("instruction", "")), required=("text",)
+    )
+    return [text for text, _ in records], [instruction for _, instruction in records]
 
 
 def cmd_distill(args) -> int:
@@ -270,27 +257,21 @@ def cmd_distill(args) -> int:
     provider = _provider_from(cfg, args)
     corpus = _need(_pick(args.corpus, cfg.paths, "corpus"), "--corpus")
     out = _need(_pick(args.out, cfg.paths, "pairs"), "--out")
-    max_units = _pick(args.max_units, cfg.provider, "max_units", 512)
-    concurrency = _pick(args.max_concurrency, cfg.provider, "max_concurrency", 4)
+    options = {
+        key: _pick(getattr(args, key), cfg.provider, key, _default(distill_corpus, key))
+        for key in ("max_units", "max_concurrency")
+    }
     docs, instructions = _read_corpus(corpus)
     if args.instruction is not None:
         instructions = [args.instruction] * len(docs)
-    dataset = distill_corpus(
-        provider,
-        docs,
-        instructions,
-        max_units=max_units,
-        max_concurrency=concurrency,
-    )
+    dataset = distill_corpus(provider, docs, instructions, **options)
     write_pairs_jsonl(dataset, out)
-    effective = {
-        "command": "distill",
+    settings = {
         "provider": provider.provider_id,
-        "max_units": max_units,
+        "max_units": options["max_units"],
         "instruction_override": args.instruction,
-        "config": cfg.to_dict(),
     }
-    _write_manifest(out, "distill", effective, [corpus])
+    _write_json(f"{out}.manifest.json", _manifest("distill", settings, cfg, [corpus]))
     print(f"distilled {len(dataset.pairs)} pairs ({len(dataset.failures)} failures) -> {out}")
     return 0
 
@@ -306,13 +287,8 @@ def cmd_label(args) -> int:
         include_instruction=not args.task_agnostic,
     )
     write_labeled_jsonl(examples, out)
-    effective = {
-        "command": "label",
-        "min_match_rate": args.min_match_rate,
-        "task_agnostic": args.task_agnostic,
-        "config": cfg.to_dict(),
-    }
-    _write_manifest(out, "label", effective, [pairs_path])
+    settings = {"min_match_rate": args.min_match_rate, "task_agnostic": args.task_agnostic}
+    _write_json(f"{out}.manifest.json", _manifest("label", settings, cfg, [pairs_path]))
     print(f"labeled {len(examples)} examples -> {out}")
     return 0
 
@@ -322,27 +298,25 @@ def cmd_train(args) -> int:
     data_path = _need(_pick(args.data, cfg.paths, "labeled"), "--data")
     out = _need(_pick(args.out, cfg.paths, "checkpoint"), "--out")
     examples = read_labeled_jsonl(data_path)
-    train_cfg = _train_config(cfg, args)
+    train_cfg = TrainConfig(**_settings(cfg, args, "train"))
     if args.resume:
         model = load_checkpoint(args.resume)
     else:
         # vocabulary and config are derived from the data unless resuming
         vocab = build_vocab(examples)
-        model_cfg = _model_config(cfg, args, vocab.size)
+        model_cfg = ModelConfig(vocab_size=vocab.size, **_settings(cfg, args, "model"))
         model = Model(config=model_cfg, vocab=vocab, params=init_params(model_cfg))
     model, report = train(model, examples, train_cfg)
     save_checkpoint(model, out)
     for ep in report.epochs:
         print(f"epoch {ep.epoch}\tloss {ep.loss:.6f}\taccuracy {ep.token_accuracy:.4f}")
-    effective = {
-        "command": "train",
+    settings = {
         "train": asdict(train_cfg),
         "model": asdict(model.config),
         "resume": args.resume,
-        "config": cfg.to_dict(),
     }
     inputs = [data_path] + ([args.resume] if args.resume else [])
-    _write_manifest(out, "train", effective, inputs)
+    _write_json(f"{out}.manifest.json", _manifest("train", settings, cfg, inputs))
     print(f"saved checkpoint -> {out}")
     return 0
 
@@ -354,12 +328,11 @@ def _compression_target(cfg: RunConfig, args) -> tuple[float | None, int | None]
         raise ConfigValidationError("set only one of --ratio and --budget")
     if ratio is not None and budget is not None:
         # flag on one side overrides the config file on the other
+        # (load_config rejects a file that sets both)
         if args.ratio is not None:
             budget = None
-        elif args.budget is not None:
-            ratio = None
         else:
-            raise ConfigValidationError("set only one of ratio and budget")
+            ratio = None
     if ratio is None and budget is None:
         raise ConfigValidationError("a compression target (ratio or budget) is required")
     return ratio, budget
@@ -377,35 +350,23 @@ def cmd_compress(args) -> int:
         original=text, instruction=instruction, keep_ratio=ratio, unit_budget=budget
     )
     result = compress(model, request)
-    record = json.dumps(result.to_record(), ensure_ascii=False)
+    record = result.to_record()
     if args.out:
-        Path(args.out).write_text(record + "\n", encoding="utf-8")
-        effective = {
-            "command": "compress",
-            "ratio": ratio,
-            "budget": budget,
-            "instruction": instruction,
-            "config": cfg.to_dict(),
-        }
-        _write_manifest(args.out, "compress", effective, [ckpt, input_path])
+        write_jsonl(args.out, [record])
+        settings = {"ratio": ratio, "budget": budget, "instruction": instruction}
+        manifest = _manifest("compress", settings, cfg, [ckpt, input_path])
+        _write_json(f"{args.out}.manifest.json", manifest)
         print(f"compressed {result.n_original} -> {result.n_kept} words -> {args.out}")
     else:
-        print(record)
+        print(json.dumps(record, ensure_ascii=False))
     return 0
 
 
-def _read_qa_jsonl(path) -> list[dict]:
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"evaluation data not found: {path}")
-    records = []
-    with open(p, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            records.append(rec)
-    return records
+def _qa_item(rec) -> tuple[str, str, QARecord]:
+    """(context, instruction, scored record) of one eval line; the
+    instruction defaults to the question."""
+    qa = QARecord(question=rec["question"], gold_answers=tuple(rec["answers"]))
+    return rec["context"], rec.get("instruction", qa.question), qa
 
 
 def cmd_eval(args) -> int:
@@ -415,44 +376,32 @@ def cmd_eval(args) -> int:
     out = _need(_pick(args.out, cfg.paths, "report"), "--out")
     ratio, budget = _compression_target(cfg, args)
     model = load_checkpoint(ckpt)
-    records = _read_qa_jsonl(data_path)
+    records = read_jsonl(data_path, _qa_item, required=("context", "question", "answers"))
     items = []
-    for rec in records:
-        question = rec["question"]
-        instruction = "" if args.task_agnostic else rec.get("instruction", question)
+    for context, instruction, qa in records:
         request = CompressionRequest(
-            original=rec["context"],
-            instruction=instruction,
+            original=context,
+            instruction="" if args.task_agnostic else instruction,
             keep_ratio=ratio,
             unit_budget=budget,
         )
-        result = compress(model, request)
-        items.append(
-            (result, QARecord(question=question, gold_answers=tuple(rec["answers"])))
-        )
+        items.append((compress(model, request), qa))
     target = ContextAnswerTarget(max_words=args.max_answer_words)
     report = evaluate_downstream(target, items)
-    effective = {
-        "command": "eval",
+    settings = {
         "ratio": ratio,
         "budget": budget,
         "task_agnostic": args.task_agnostic,
         "max_answer_words": args.max_answer_words,
-        "config": cfg.to_dict(),
     }
-    run_id, config_digest = _run_identity("eval", effective, [ckpt, data_path])
-    doc = {
-        "run_id": run_id,
-        "config_digest": config_digest,
+    manifest = _manifest("eval", settings, cfg, [ckpt, data_path])
+    doc = _run_identity(manifest) | {
         "metrics": dict(report.metrics)
         | {"n_scored": report.n_scored, "n_failed": report.n_failed},
         "per_example": report.per_example,
     }
-    Path(out).write_text(
-        json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    _write_manifest(out, "eval", effective, [ckpt, data_path])
+    _write_json(out, doc)
+    _write_json(f"{out}.manifest.json", manifest)
     print(f"scored {report.n_scored} items (token_f1 {report.metrics['token_f1']:.4f}) -> {out}")
     return 0
 
@@ -470,39 +419,26 @@ def cmd_sweep(args) -> int:
     model = load_checkpoint(base)
     extra = read_labeled_jsonl(extra_path)
     eval_set = read_labeled_jsonl(eval_path)
-    train_cfg = _train_config(cfg, args)
+    train_cfg = TrainConfig(**_settings(cfg, args, "train"))
     sweep = data_efficiency_sweep(model, extra, fractions, eval_set, train_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    effective = {
-        "command": "sweep",
-        "fractions": fractions,
-        "train": asdict(train_cfg),
-        "config": cfg.to_dict(),
-    }
-    run_id, config_digest = _run_identity(
-        "sweep", effective, [base, extra_path, eval_path]
-    )
+    settings = {"fractions": fractions, "train": asdict(train_cfg)}
+    manifest = _manifest("sweep", settings, cfg, [base, extra_path, eval_path])
     lines = ["fraction\tn_extra\ttoken_accuracy"]
     for i, cell in enumerate(sweep.cells):
-        doc = {
-            "run_id": run_id,
-            "config_digest": config_digest,
+        doc = _run_identity(manifest) | {
             "fraction": cell.fraction,
             "metrics": dict(cell.report.metrics),
             "per_example": cell.report.per_example,
         }
-        cell_path = out_dir / f"cell_{i}.json"
-        cell_path.write_text(
-            json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        _write_json(out_dir / f"cell_{i}.json", doc)
         lines.append(
             f"{cell.fraction:g}\t{cell.report.metrics['n_extra']:g}"
             f"\t{cell.report.metrics['token_accuracy']:.6f}"
         )
     summary = out_dir / "summary.tsv"
-    summary.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(summary, "sweep", effective, [base, extra_path, eval_path])
+    write_atomic(summary, ("\n".join(lines) + "\n").encode("utf-8"))
+    _write_json(f"{summary}.manifest.json", manifest)
     print("\n".join(lines))
     print(f"wrote {len(sweep.cells)} cell reports -> {out_dir}")
     return 0
@@ -510,7 +446,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_stats(args) -> int:
     _args_config(args)  # nothing read from it yet, but bad files still fail fast
-    dataset: DistilledDataset = read_pairs_jsonl(args.dataset)
+    dataset = read_pairs_jsonl(args.dataset)
     hist = ratio_histogram(dataset, bin_width=args.bin_width)
     print(f"pairs\t{hist.n}")
     print(f"mean_ratio\t{hist.mean:.4f}")
@@ -535,7 +471,8 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", help="JSONL ({'text', 'instruction'?}) or plain text file")
     p.add_argument("--out", help="output pairs JSONL")
     p.add_argument("--instruction", help="override instruction for every document")
-    p.add_argument("--max-units", type=int, help="max words per chunk (default 512)")
+    p.add_argument("--max-units", type=int,
+                   help=_with_default("max words per chunk", distill_corpus, "max_units"))
     p.add_argument("--max-concurrency", type=int, help="parallel provider calls")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--mock", dest="mock", action="store_true", default=None,
@@ -550,7 +487,8 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--pairs", help="pairs JSONL from distill")
     p.add_argument("--out", help="output labeled JSONL")
-    p.add_argument("--min-match-rate", type=float, default=0.0,
+    p.add_argument("--min-match-rate", type=float,
+                   default=_default(label_distilled_pairs, "min_match_rate"),
                    help="drop pairs whose alignment matched less than this")
     p.add_argument("--task-agnostic", action="store_true",
                    help="ignore instructions; emit boundary 0 examples")
@@ -562,15 +500,23 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="output checkpoint path")
     p.add_argument("--resume", help="continue from an existing checkpoint")
     p.add_argument("--loss", choices=["agnostic", "drop", "mask"], help="loss variant")
-    p.add_argument("--lr", type=float, help="learning rate (default 1e-5)")
-    p.add_argument("--batch-size", type=int, help="examples per update (default 10)")
-    p.add_argument("--epochs", type=int, help="training epochs (default 10)")
+    p.add_argument("--lr", type=float,
+                   help=_with_default("learning rate", TrainConfig, "learning_rate"))
+    p.add_argument("--batch-size", type=int,
+                   help=_with_default("examples per update", TrainConfig, "batch_size"))
+    p.add_argument("--epochs", type=int,
+                   help=_with_default("training epochs", TrainConfig, "epochs"))
     p.add_argument("--seed", type=int, help="shuffling / init seed")
-    p.add_argument("--embed-dim", type=int, help="model width (default 64)")
-    p.add_argument("--layers", type=int, help="encoder blocks (default 2)")
-    p.add_argument("--heads", type=int, help="attention heads (default 4)")
-    p.add_argument("--ffn-dim", type=int, help="feed-forward width (default 128)")
-    p.add_argument("--max-seq-len", type=int, help="window length (default 256)")
+    p.add_argument("--embed-dim", type=int,
+                   help=_with_default("model width", ModelConfig, "embed_dim"))
+    p.add_argument("--layers", type=int,
+                   help=_with_default("encoder blocks", ModelConfig, "num_layers"))
+    p.add_argument("--heads", type=int,
+                   help=_with_default("attention heads", ModelConfig, "num_heads"))
+    p.add_argument("--ffn-dim", type=int,
+                   help=_with_default("feed-forward width", ModelConfig, "ffn_dim"))
+    p.add_argument("--max-seq-len", type=int,
+                   help=_with_default("window length", ModelConfig, "max_seq_len"))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compress", help="compress one document with a checkpoint")
@@ -591,7 +537,8 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=int, help="maximum words to keep")
     p.add_argument("--task-agnostic", action="store_true",
                    help="compress without the question as instruction")
-    p.add_argument("--max-answer-words", type=int, default=8,
+    p.add_argument("--max-answer-words", type=int,
+                   default=_default(ContextAnswerTarget, "max_words"),
                    help="answer length of the offline target")
     p.add_argument("--out", help="report JSON path")
     p.set_defaults(func=cmd_eval)
@@ -614,10 +561,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("stats", help="ratio histogram of a pairs dataset")
     common(p)
     p.add_argument("--dataset", required=True, help="pairs JSONL from distill")
-    p.add_argument("--bin-width", type=float, default=1.0, help="histogram bin width")
+    p.add_argument("--bin-width", type=float, default=_default(ratio_histogram, "bin_width"),
+                   help="histogram bin width")
     p.set_defaults(func=cmd_stats)
 
     return parser
+
+
+# exit 1: the flags, the config file or an input file need fixing;
+# any other package error exits 2
+_USER_ERRORS = (ConfigParseError, ConfigValidationError, RecordError, ValueError, OSError)
 
 
 def run_cli(argv=None) -> int:
@@ -632,15 +585,9 @@ def run_cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigParseError, ConfigValidationError) as exc:
+    except (EfpcError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except EfpcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _USER_ERRORS) else 2
 
 
 def console_main() -> None:

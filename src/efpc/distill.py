@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Protocol, Sequence
 
+from ._util import read_jsonl, write_jsonl
 from .errors import (
     DistillationFailed,
     EmptyCompression,
@@ -313,34 +314,30 @@ def ratio_histogram(dataset: DistilledDataset, bin_width: float = 1.0) -> RatioH
 
 def write_pairs_jsonl(dataset: DistilledDataset, path) -> None:
     """One JSON object per pair, UTF-8 with LF line endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for p in dataset.pairs:
-            record = {
-                "doc_id": p.doc_id,
-                "chunk_idx": p.chunk_idx,
-                "instruction": p.instruction,
-                "original": p.chunk_text,
-                "compressed": p.compressed_text,
-                "ratio": p.ratio,
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    records = [
+        {
+            "doc_id": p.doc_id,
+            "chunk_idx": p.chunk_idx,
+            "instruction": p.instruction,
+            "original": p.chunk_text,
+            "compressed": p.compressed_text,
+            "ratio": p.ratio,
+        }
+        for p in dataset.pairs
+    ]
+    write_jsonl(path, records)
 
 
 def read_pairs_jsonl(path) -> DistilledDataset:
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            pairs.append(
-                DistilledPair(
-                    chunk_text=rec["original"],
-                    compressed_text=rec["compressed"],
-                    instruction=rec.get("instruction", ""),
-                    ratio=rec["ratio"],
-                    doc_id=rec.get("doc_id", 0),
-                    chunk_idx=rec.get("chunk_idx", 0),
-                )
-            )
+    def build(rec):
+        return DistilledPair(
+            chunk_text=rec["original"],
+            compressed_text=rec["compressed"],
+            instruction=rec.get("instruction", ""),
+            ratio=rec["ratio"],
+            doc_id=rec.get("doc_id", 0),
+            chunk_idx=rec.get("chunk_idx", 0),
+        )
+
+    pairs = read_jsonl(path, build, required=("original", "compressed", "ratio"))
     return DistilledDataset(pairs=pairs, failures=[])

@@ -59,3 +59,7 @@ class ConfigParseError(EfpcError):
 
 class ConfigValidationError(EfpcError):
     """Run configuration violates an invariant."""
+
+
+class RecordError(EfpcError):
+    """A line of a JSONL data file cannot be read as a record."""

@@ -27,48 +27,3 @@ from .vocab import (
     vocab_from_words,
 )
 
-__all__ = [
-    "AdamState",
-    "adam_step",
-    "init_adam",
-    "Model",
-    "new_model",
-    "FORMAT_VERSION",
-    "MAGIC",
-    "load_checkpoint",
-    "save_checkpoint",
-    "LOSS_VARIANTS",
-    "ModelConfig",
-    "TrainConfig",
-    "ce_grad_logits",
-    "ce_rows",
-    "loss_agnostic",
-    "loss_drop",
-    "loss_mask",
-    "backward",
-    "backward_detailed",
-    "classify",
-    "encode",
-    "forward_loss",
-    "ModelParams",
-    "init_params",
-    "tensor_order",
-    "tensor_shapes",
-    "validate_params",
-    "zeros_like_params",
-    "TokenizedExample",
-    "tokenize_words",
-    "window_example",
-    "EpochStats",
-    "TrainReport",
-    "prepare_examples",
-    "token_accuracy",
-    "train",
-    "PAD_ID",
-    "SEP_ID",
-    "UNK_ID",
-    "Vocab",
-    "build_vocab",
-    "vocab_from_word_list",
-    "vocab_from_words",
-]

@@ -24,6 +24,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .._util import write_atomic
 from ..errors import CheckpointError, ChecksumMismatch, FormatVersionMismatch
 from .bundle import Model
 from .config import ModelConfig
@@ -36,7 +37,10 @@ _U32 = struct.Struct("<I")
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Write the model's config, vocabulary, and parameters to path."""
+    """Write the model's config, vocabulary, and parameters to path.
+
+    The file is replaced in one rename, so a failed save leaves the
+    previous checkpoint intact."""
     validate_params(model.params, model.config)
     header = {
         "format_version": FORMAT_VERSION,
@@ -53,8 +57,7 @@ def save_checkpoint(model: Model, path) -> None:
         blob += _U32.pack(len(data))
         blob += data
     blob += _U32.pack(zlib.crc32(bytes(blob)))
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    write_atomic(path, blob)
 
 
 def load_checkpoint(path) -> Model:

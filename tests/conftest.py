@@ -1,2 +1,2 @@
-"""Shared pytest fixtures; also puts this directory on sys.path so test
-modules can import helpers."""
+"""Test-suite root. pytest's default import mode puts this directory on
+sys.path, which is how test modules import ``helpers``."""

@@ -9,7 +9,6 @@ from efpc.align import (
     label_pair,
     mix_datasets,
     read_labeled_jsonl,
-    validate_example,
     write_labeled_jsonl,
 )
 from efpc.distill import DistilledDataset, DistilledPair
@@ -129,13 +128,12 @@ def test_label_distilled_pairs_min_match_rate_filters():
     assert len(examples) == 1  # the z z z pair matches nothing
 
 
-def test_validate_example_catches_bad_labels():
-    ex = LabeledExample(words=("a", "b"), labels=(0, 1), boundary_m=0)
-    validate_example(ex)  # fine
+def test_labeled_example_rejects_bad_labels_on_construction():
+    LabeledExample(words=("a", "b"), labels=(0, 1), boundary_m=0)  # fine
     with pytest.raises(LengthMismatch):
-        validate_example(LabeledExample(words=("a",), labels=(2,), boundary_m=0))
+        LabeledExample(words=("a",), labels=(2,), boundary_m=0)
     with pytest.raises(LengthMismatch):
-        validate_example(LabeledExample(words=("a", "b"), labels=(1, 0), boundary_m=1))
+        LabeledExample(words=("a", "b"), labels=(1, 0), boundary_m=1)
 
 
 def test_labeled_example_validates_lengths_on_construction():

@@ -1,10 +1,11 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
 from efpc.cli import load_config, run_cli
 from efpc.errors import ConfigParseError, ConfigValidationError
-from efpc.model import load_checkpoint
+from efpc.model import ModelConfig, TrainConfig, load_checkpoint
 
 from helpers import RATIO_DOCS
 
@@ -135,6 +136,17 @@ def test_train_respects_model_flags(pipeline):
     assert model.config.embed_dim == 16
     assert model.config.num_layers == 1
     assert model.config.max_seq_len == 64
+
+
+def test_train_without_flags_uses_config_defaults(pipeline, tmp_path):
+    root, corpus, pairs, labeled, ckpt = pipeline
+    out = tmp_path / "defaults.ckpt"
+    assert run_cli(["train", "--data", str(labeled), "--out", str(out),
+                    "--epochs", "1"]) == 0
+    config = load_checkpoint(out).config
+    assert config == ModelConfig(vocab_size=config.vocab_size)
+    manifest = json.loads((tmp_path / "defaults.ckpt.manifest.json").read_text())
+    assert manifest["config"]["train"] == asdict(TrainConfig(epochs=1))
 
 
 def test_train_prints_epoch_lines(pipeline, capsys, tmp_path):
@@ -315,6 +327,73 @@ def test_corrupt_checkpoint_exits_two(tmp_path, capsys):
                     "--ratio", "0.5"])
     assert code == 2
     assert "checksum" in capsys.readouterr().err.lower()
+
+
+GOOD_RECORDS = {
+    "corpus": {"text": "The cat sat on the mat.", "instruction": "Who sat?"},
+    "pairs": {"original": "The cat sat.", "compressed": "cat sat.", "ratio": 1.5},
+    "labeled": {"instruction": "who", "original_words": ["cat", "sat"],
+                "labels": [0, 1, 0], "boundary_m": 1},
+    "qa": {"context": "The cat sat.", "question": "Who sat?", "answers": ["cat"]},
+}
+REQUIRED_FIELD = {"corpus": "text", "pairs": "compressed", "labeled": "boundary_m",
+                  "qa": "answers"}
+# a value the record's type rejects on construction
+BAD_VALUE = {"pairs": ("compressed", " "), "labeled": ("labels", [0, 1]),
+             "qa": ("answers", [])}
+
+
+def _reader_argv(kind, data, out, ckpt):
+    return {
+        "corpus": ["distill", "--corpus", data, "--out", out, "--mock"],
+        "pairs": ["label", "--pairs", data, "--out", out],
+        "labeled": ["train", "--data", data, "--out", out, *TRAIN_FLAGS],
+        "qa": ["eval", "--checkpoint", ckpt, "--data", data, "--ratio", "0.5",
+               "--out", out],
+    }[kind]
+
+
+def _bad_line(kind, fault):
+    good = GOOD_RECORDS[kind]
+    if fault == "missing field":
+        return json.dumps({k: v for k, v in good.items() if k != REQUIRED_FIELD[kind]})
+    if fault == "bad value":
+        field, value = BAD_VALUE[kind]
+        return json.dumps(good | {field: value})
+    return {"not an object": '["a"]', "bad json": "{nope"}[fault]
+
+
+RECORD_FAULTS = [
+    (kind, fault)
+    for kind in sorted(GOOD_RECORDS)
+    for fault in ("missing field", "not an object", "bad json")
+] + [(kind, "bad value") for kind in sorted(BAD_VALUE)]
+
+
+@pytest.mark.parametrize("kind, fault", RECORD_FAULTS)
+def test_bad_record_exits_one_naming_file_and_line(pipeline, tmp_path, capsys,
+                                                   kind, fault):
+    *_, ckpt = pipeline
+    data = tmp_path / "data.jsonl"
+    data.write_text(json.dumps(GOOD_RECORDS[kind]) + "\n\n" + _bad_line(kind, fault) + "\n")
+    argv = _reader_argv(kind, str(data), str(tmp_path / "out"), str(ckpt))
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}:3: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["compress", "--checkpoint", "{ckpt}", "--input", "{dir}", "--ratio", "0.5"],
+    ["distill", "--corpus", "{corpus}", "--out", "{dir}", "--mock"],
+    ["stats", "--dataset", "{dir}"],
+])
+def test_directory_as_file_argument_exits_one(pipeline, tmp_path, capsys, argv):
+    root, corpus, pairs, labeled, ckpt = pipeline
+    names = {"ckpt": ckpt, "dir": tmp_path, "corpus": corpus}
+    assert run_cli([a.format(**{k: str(v) for k, v in names.items()}) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bad_config_file_exits_one(tmp_path, capsys):
