@@ -53,6 +53,7 @@ from .errors import (
     InstructionTooLong,
     InsufficientData,
     LengthMismatch,
+    NumericalDivergence,
     RecordError,
     SequenceTooLong,
     ShapeMismatch,

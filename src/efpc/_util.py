@@ -28,14 +28,31 @@ def digest_obj(obj) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def read_jsonl(path, build, required=()) -> list:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON value kinds a record field can be declared as
+_KINDS = {
+    "string": lambda v: isinstance(v, str),
+    "integer": _is_int,
+    "finite number": lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+    "list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "list of integers": lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
+}
+
+
+def read_jsonl(path, build, required=(), types=None) -> list:
     """``build(record)`` for each JSON object line of a UTF-8 JSONL file.
 
     Blank lines are skipped. A line that is not UTF-8 JSON, is not an
-    object, lacks a field named in ``required``, or makes ``build`` raise
-    a ``TypeError``, ``ValueError`` or package error, raises
-    :class:`RecordError` with the message ``path:line: reason``.
+    object, lacks a field named in ``required``, has a field whose value
+    is not of the kind ``types`` names for it (a key of ``_KINDS``), or
+    makes ``build`` raise a ``TypeError``, ``ValueError`` or package
+    error, raises :class:`RecordError` with the message
+    ``path:line: reason``.
     """
+    types = types or {}
     records = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -48,6 +65,11 @@ def read_jsonl(path, build, required=()) -> list:
                 missing = [key for key in required if key not in rec]
                 if missing:
                     raise ValueError(f"missing field {missing[0]!r}")
+                for key, kind in types.items():
+                    if key in rec and not _KINDS[kind](rec[key]):
+                        raise ValueError(
+                            f"field {key!r} must be a {kind}, got {json.dumps(rec[key])[:40]}"
+                        )
                 records.append(build(rec))
             except (EfpcError, TypeError, ValueError) as exc:
                 raise RecordError(f"{path}:{lineno}: {exc}") from exc

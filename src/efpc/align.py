@@ -177,4 +177,10 @@ def read_labeled_jsonl(path) -> list[LabeledExample]:
             boundary_m=rec["boundary_m"],
         )
 
-    return read_jsonl(path, build, required=("original_words", "labels", "boundary_m"))
+    return read_jsonl(
+        path,
+        build,
+        required=("original_words", "labels", "boundary_m"),
+        types={"instruction": "string", "original_words": "list of strings",
+               "labels": "list of integers", "boundary_m": "integer"},
+    )

@@ -247,7 +247,10 @@ def _read_corpus(path) -> tuple[list[str], list[str]]:
     if p.suffix != ".jsonl":
         return [p.read_text(encoding="utf-8")], [""]
     records = read_jsonl(
-        path, lambda rec: (rec["text"], rec.get("instruction", "")), required=("text",)
+        path,
+        lambda rec: (rec["text"], rec.get("instruction", "")),
+        required=("text",),
+        types={"text": "string", "instruction": "string"},
     )
     return [text for text, _ in records], [instruction for _, instruction in records]
 
@@ -376,7 +379,13 @@ def cmd_eval(args) -> int:
     out = _need(_pick(args.out, cfg.paths, "report"), "--out")
     ratio, budget = _compression_target(cfg, args)
     model = load_checkpoint(ckpt)
-    records = read_jsonl(data_path, _qa_item, required=("context", "question", "answers"))
+    records = read_jsonl(
+        data_path,
+        _qa_item,
+        required=("context", "question", "answers"),
+        types={"context": "string", "question": "string", "answers": "list of strings",
+               "instruction": "string"},
+    )
     items = []
     for context, instruction, qa in records:
         request = CompressionRequest(

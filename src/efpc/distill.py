@@ -339,5 +339,11 @@ def read_pairs_jsonl(path) -> DistilledDataset:
             chunk_idx=rec.get("chunk_idx", 0),
         )
 
-    pairs = read_jsonl(path, build, required=("original", "compressed", "ratio"))
+    pairs = read_jsonl(
+        path,
+        build,
+        required=("original", "compressed", "ratio"),
+        types={"original": "string", "compressed": "string", "instruction": "string",
+               "ratio": "finite number", "doc_id": "integer", "chunk_idx": "integer"},
+    )
     return DistilledDataset(pairs=pairs, failures=[])

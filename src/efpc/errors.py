@@ -37,6 +37,10 @@ class InstructionTooLong(EfpcError):
     """Instruction prefix leaves no room for original words."""
 
 
+class NumericalDivergence(EfpcError):
+    """Training produced a non-finite loss or gradient."""
+
+
 class ShapeMismatch(EfpcError):
     """Tensor shapes disagree between parameters and gradients."""
 

@@ -52,11 +52,26 @@ def adam_step(
             raise ShapeMismatch(
                 f"{name}: gradient shape {g.shape} != parameter shape {theta.shape}"
             )
-        m = b1 * state.m[name] + (1.0 - b1) * g
-        v = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        new_params[name] = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        # m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*g*g,
+        # theta - lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps):
+        # the same operations in the same order, so the same bits, written
+        # into the three fresh outputs and one scratch array, all in the
+        # parameter dtype
+        scratch = np.multiply(g, 1.0 - b1, dtype=theta.dtype)
+        m = np.multiply(state.m[name], b1)
+        m += scratch
+        np.multiply(g, 1.0 - b2, out=scratch)
+        scratch *= g
+        v = np.multiply(state.v[name], b2)
+        v += scratch
+        new = np.divide(v, 1.0 - b2**t)
+        np.sqrt(new, out=new)
+        new += config.epsilon
+        np.divide(m, 1.0 - b1**t, out=scratch)
+        scratch *= config.learning_rate
+        scratch /= new
+        np.subtract(theta, scratch, out=new)
+        new_params[name] = new
         new_m[name] = m
         new_v[name] = v
     return ModelParams(new_params), AdamState(m=new_m, v=new_v, step=t)

@@ -2,9 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 LOSS_VARIANTS = ("agnostic", "drop", "mask")
+
+# annotation -> (accepted types, name in the error message)
+_KINDS = {"int": (Integral, "an integer"), "float": (Real, "a number"), "str": (str, "a string")}
+
+
+def _check_types(config) -> None:
+    """ValueError naming the first field whose value is not of its
+    annotated kind; bool is no number here, though Python counts it one."""
+    for f in fields(config):
+        kind, name = _KINDS[f.type]
+        value = getattr(config, f.name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{f.name} must be {name}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -18,6 +32,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_types(self)
         if self.vocab_size < 3:
             raise ValueError("vocab_size must cover the reserved ids")
         if self.embed_dim % self.num_heads != 0:
@@ -42,6 +57,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_types(self)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:

@@ -7,9 +7,18 @@ with multi-head self-attention (no projection biases), a GELU feed-forward
 (no biases), and no final normalization. A 2-way linear head with bias
 turns each hidden state into (preserve, discard) logits.
 
+The forward pass keeps, per block, what the backward pass reads back:
+the block input ``x_in``, LN1's ``(xhat, inv_std)`` and output ``a``, the
+per-head ``q``, ``k``, ``v``, the attention weights ``attn`` and merged
+context ``ctx``, the post-attention residual ``x_mid``, LN2's cache and
+output ``b``, the FFN pre-activation ``u``, the GELU's ``tanh`` term ``t``
+and its output ``g``.
+
 The backward pass mirrors the forward step by step; its correctness is
 pinned by a central-finite-difference test over every parameter of a
-small model, so any change here must keep that test green.
+small model, so any change here must keep that test green. It adds each
+gradient into a table, so a training batch sums its examples into one
+table with no per-example copy.
 """
 
 from __future__ import annotations
@@ -48,13 +57,19 @@ def _layer_norm_backward(dy: np.ndarray, cache, gamma: np.ndarray):
     return dx, dgamma, dbeta
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x**3)))
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh-approximated GELU and its tanh term, which the gradient reuses.
+
+    The cube is ``x * x * x``: ``x**3`` goes through ``pow``, which costs
+    over a hundred times as much on float32.
+    """
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
+def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d gelu(x) / dx, given the tanh term ``t`` that ``_gelu(x)`` returned."""
+    return 0.5 * (1.0 + t) + 0.5 * _GELU_C * x * (1.0 - t * t) * (1.0 + 3.0 * _GELU_A * (x * x))
 
 
 def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
@@ -67,10 +82,22 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(length, heads * head_dim)
 
 
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, written to ``out`` (``x`` itself for an
+    in-place softmax) or to a new array; shift, exp and normalize run in
+    that order either way, so both give the same bits."""
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _softmax_rows_backward(dy: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient through ``y = _softmax_rows(x)``, ``y * (dy - rowsum(dy * y))``,
+    computed in place on ``dy`` with the same bits as that expression."""
+    dy -= (dy * y).sum(axis=-1, keepdims=True)
+    dy *= y
+    return dy
 
 
 def _forward(params: ModelParams, config: ModelConfig, token_ids) -> tuple[np.ndarray, dict]:
@@ -95,7 +122,9 @@ def _forward(params: ModelParams, config: ModelConfig, token_ids) -> tuple[np.nd
         q = _split_heads(a @ p("wq"), config.num_heads)
         k = _split_heads(a @ p("wk"), config.num_heads)
         v = _split_heads(a @ p("wv"), config.num_heads)
-        attn = _softmax_rows((q @ k.transpose(0, 2, 1)) * scale)
+        scores = q @ k.transpose(0, 2, 1)
+        scores *= scale
+        attn = _softmax_rows(scores, out=scores)
         ctx = _merge_heads(attn @ v)
         layer.update(q=q, k=k, v=v, attn=attn, ctx=ctx)
         x = x + ctx @ p("wo")
@@ -103,8 +132,8 @@ def _forward(params: ModelParams, config: ModelConfig, token_ids) -> tuple[np.nd
         layer["x_mid"] = x
         b, layer["ln2"] = _layer_norm(x, p("ln2_gamma"), p("ln2_beta"))
         u = b @ p("w1")
-        g = _gelu(u)
-        layer.update(b=b, u=u, g=g)
+        g, t = _gelu(u)
+        layer.update(b=b, u=u, t=t, g=g)
         x = x + g @ p("w2")
 
         cache["layers"].append(layer)
@@ -154,11 +183,18 @@ def backward_detailed(
     config: ModelConfig,
     example: TokenizedExample,
     loss_variant: str = "mask",
+    grads: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    """backward() plus the per-position probabilities of the same pass."""
+    """backward() plus the per-position probabilities of the same pass.
+
+    The gradient is added into ``grads``, which is returned; without one,
+    a zero table is made. Passing the returned table back in sums the
+    gradients of several examples.
+    """
     h, cache = _forward(params, config, example.token_ids)
     length = h.shape[0]
-    grads: dict[str, np.ndarray] = {}
+    if grads is None:
+        grads = {k: np.zeros_like(t) for k, t in params.tensors.items()}
 
     logits = h @ params["cls_w"].T + params["cls_b"]
     probs = _softmax_rows(logits)
@@ -166,8 +202,8 @@ def backward_detailed(
 
     start, row_labels = ce_rows(loss_variant, np.asarray(example.labels), example.boundary)
     dlogits = ce_grad_logits(probs, row_labels, start)
-    grads["cls_w"] = dlogits.T @ h
-    grads["cls_b"] = dlogits.sum(axis=0)
+    grads["cls_w"] += dlogits.T @ h
+    grads["cls_b"] += dlogits.sum(axis=0)
     dx = dlogits @ params["cls_w"]
 
     scale = 1.0 / math.sqrt(config.head_dim)
@@ -177,41 +213,38 @@ def backward_detailed(
 
         # x_out = x_mid + gelu(LN2(x_mid) @ w1) @ w2
         dffn_out = dx
-        grads[f"layer{i}.w2"] = layer["g"].T @ dffn_out
-        dg = dffn_out @ p("w2").T
-        du = dg * _gelu_grad(layer["u"])
-        grads[f"layer{i}.w1"] = layer["b"].T @ du
+        grads[f"layer{i}.w2"] += layer["g"].T @ dffn_out
+        du = dffn_out @ p("w2").T
+        du *= _gelu_grad(layer["u"], layer["t"])
+        grads[f"layer{i}.w1"] += layer["b"].T @ du
         db = du @ p("w1").T
         dx_mid, dg2, db2 = _layer_norm_backward(db, layer["ln2"], p("ln2_gamma"))
-        grads[f"layer{i}.ln2_gamma"] = dg2
-        grads[f"layer{i}.ln2_beta"] = db2
+        grads[f"layer{i}.ln2_gamma"] += dg2
+        grads[f"layer{i}.ln2_beta"] += db2
         dx = dx + dx_mid
 
         # x_mid = x_in + merge(attn @ v) @ wo
         dattn_out = dx
-        grads[f"layer{i}.wo"] = layer["ctx"].T @ dattn_out
+        grads[f"layer{i}.wo"] += layer["ctx"].T @ dattn_out
         dctx = _split_heads(dattn_out @ p("wo").T, config.num_heads)
-        dattn = dctx @ layer["v"].transpose(0, 2, 1)
-        dv = layer["attn"].transpose(0, 2, 1) @ dctx
         attn = layer["attn"]
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+        dv = attn.transpose(0, 2, 1) @ dctx
+        dscores = _softmax_rows_backward(dctx @ layer["v"].transpose(0, 2, 1), attn)
         dq = (dscores @ layer["k"]) * scale
         dk = (dscores.transpose(0, 2, 1) @ layer["q"]) * scale
         a = layer["a"]
         dq_m, dk_m, dv_m = (_merge_heads(t) for t in (dq, dk, dv))
-        grads[f"layer{i}.wq"] = a.T @ dq_m
-        grads[f"layer{i}.wk"] = a.T @ dk_m
-        grads[f"layer{i}.wv"] = a.T @ dv_m
+        grads[f"layer{i}.wq"] += a.T @ dq_m
+        grads[f"layer{i}.wk"] += a.T @ dk_m
+        grads[f"layer{i}.wv"] += a.T @ dv_m
         da = dq_m @ p("wq").T + dk_m @ p("wk").T + dv_m @ p("wv").T
         dx_in, dg1, db1 = _layer_norm_backward(da, layer["ln1"], p("ln1_gamma"))
-        grads[f"layer{i}.ln1_gamma"] = dg1
-        grads[f"layer{i}.ln1_beta"] = db1
+        grads[f"layer{i}.ln1_gamma"] += dg1
+        grads[f"layer{i}.ln1_beta"] += db1
         dx = dx + dx_in
 
-    grads["token_emb"] = np.zeros_like(params["token_emb"])
     np.add.at(grads["token_emb"], cache["ids"], dx)
-    grads["pos_emb"] = np.zeros_like(params["pos_emb"])
-    grads["pos_emb"][:length] = dx
+    grads["pos_emb"][:length] += dx
 
     return loss, grads, probs
 

@@ -1,9 +1,13 @@
 """Mini-batch training loop over labeled word examples.
 
 Deterministic by construction: example order is shuffled by a seeded RNG,
-gradients are averaged per batch in index order, and all arithmetic stays
-in the parameter dtype. Two runs with the same model, data, and config
-produce identical parameters and reports.
+gradients are summed into one table per batch in index order and then
+averaged, and all arithmetic stays in the parameter dtype. Two runs with
+the same model, data, and config produce identical parameters and reports.
+
+Training stops with NumericalDivergence at the first example whose loss,
+or batch whose gradient, is not finite, rather than carrying NaNs on to
+the end.
 
 Incremental training is just calling train() on a loaded model; joint
 training is calling it on a mixed dataset (see align.mix_datasets).
@@ -12,6 +16,7 @@ training is calling it on a mixed dataset (see align.mix_datasets).
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ..align import LabeledExample
-from ..errors import EmptyDataset
+from ..errors import EmptyDataset, NumericalDivergence
 from .adam import adam_step, init_adam
 from .bundle import Model
 from .config import TrainConfig
@@ -73,6 +78,9 @@ def _batch_accuracy(probs: np.ndarray, example: TokenizedExample) -> tuple[int, 
     return int((predicted == labels).sum()), len(labels)
 
 
+# a non-finite loss or gradient stops training with NumericalDivergence,
+# so numpy's overflow warnings on the way there would only be noise
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(
     model: Model, dataset: Sequence[LabeledExample], config: TrainConfig
 ) -> tuple[Model, TrainReport]:
@@ -95,26 +103,28 @@ def train(
         loss_sum = 0.0
         correct = 0
         total = 0
-        for lo in range(0, len(order), config.batch_size):
+        for batch_no, lo in enumerate(range(0, len(order), config.batch_size)):
             batch = [examples[i] for i in order[lo : lo + config.batch_size]]
-            acc_grads: dict[str, np.ndarray] | None = None
+            grads = None
             for ex in batch:
                 loss, grads, probs = backward_detailed(
-                    params, model.config, ex, config.loss_variant
+                    params, model.config, ex, config.loss_variant, grads
                 )
+                if not math.isfinite(loss):
+                    raise NumericalDivergence(
+                        f"epoch {epoch} batch {batch_no}: loss is {loss}"
+                    )
                 loss_sum += loss
-                if acc_grads is None:
-                    acc_grads = grads
-                else:
-                    for k in acc_grads:
-                        acc_grads[k] += grads[k]
                 c, t = _batch_accuracy(probs, ex)
                 correct += c
                 total += t
-            assert acc_grads is not None
-            for k in acc_grads:
-                acc_grads[k] /= len(batch)
-            params, state = adam_step(params, acc_grads, state, config)
+            for k, g in grads.items():
+                if not np.isfinite(g).all():
+                    raise NumericalDivergence(
+                        f"epoch {epoch} batch {batch_no}: {k} gradient is not finite"
+                    )
+                g /= len(batch)
+            params, state = adam_step(params, grads, state, config)
         stats.append(
             EpochStats(
                 epoch=epoch,

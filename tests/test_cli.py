@@ -1,9 +1,10 @@
 import json
+import re
 from dataclasses import asdict
 
 import pytest
 
-from efpc.cli import load_config, run_cli
+from efpc.cli import _SECTION_KEYS, load_config, run_cli
 from efpc.errors import ConfigParseError, ConfigValidationError
 from efpc.model import ModelConfig, TrainConfig, load_checkpoint
 
@@ -381,6 +382,71 @@ def test_bad_record_exits_one_naming_file_and_line(pipeline, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {data}:3: ")
     assert err.count("\n") == 1
+
+
+# a value of the wrong JSON type for every field a reader declares
+WRONG_TYPES = [
+    ("corpus", "text", 5), ("corpus", "instruction", ["who"]),
+    ("pairs", "original", None), ("pairs", "compressed", 3), ("pairs", "instruction", 1),
+    ("pairs", "ratio", "x"), ("pairs", "ratio", True), ("pairs", "ratio", float("nan")),
+    ("pairs", "ratio", float("inf")), ("pairs", "doc_id", 1.5),
+    ("pairs", "chunk_idx", "0"),
+    ("labeled", "instruction", 7), ("labeled", "original_words", "cat sat"),
+    ("labeled", "original_words", ["cat", 2]), ("labeled", "labels", [0, "1", 0]),
+    ("labeled", "labels", [0, True, 0]), ("labeled", "boundary_m", "1"),
+    ("qa", "context", 1), ("qa", "question", {}), ("qa", "answers", "cat"),
+    ("qa", "answers", [1]), ("qa", "instruction", 0),
+]
+
+
+@pytest.mark.parametrize("kind, field, value", WRONG_TYPES)
+def test_wrong_type_field_exits_one_naming_file_line_and_field(pipeline, tmp_path, capsys,
+                                                              kind, field, value):
+    *_, ckpt = pipeline
+    data = tmp_path / "data.jsonl"
+    data.write_text(json.dumps(GOOD_RECORDS[kind] | {field: value}) + "\n")
+    argvs = [_reader_argv(kind, str(data), str(tmp_path / "out"), str(ckpt))]
+    if kind == "pairs":
+        argvs.append(["stats", "--dataset", str(data)])
+    for argv in argvs:
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}:1: field {field!r} must be a ")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("section", ["model", "train"])
+def test_wrong_type_config_values_exit_one_naming_the_key(pipeline, tmp_path, capsys, section):
+    *_, labeled, _ = pipeline
+    out = tmp_path / "m.ckpt"
+    cfg = tmp_path / "cfg.json"
+    for key in sorted(_SECTION_KEYS[section]):
+        for value in ("64", True, [1]):
+            cfg.write_text(json.dumps({section: {key: value}}))
+            assert run_cli(["train", "--config", str(cfg), "--data", str(labeled),
+                            "--out", str(out)]) == 1, (key, value)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {key} must be "), err
+            assert err.count("\n") == 1
+            assert not out.exists()
+
+
+def test_divergent_training_exits_two_and_writes_no_checkpoint(tmp_path, capsys):
+    data = tmp_path / "labeled.jsonl"
+    data.write_text(
+        json.dumps({"instruction": "who", "original_words": ["the", "cat", "sat", "down"],
+                    "labels": [0, 0, 1, 1, 0], "boundary_m": 1}) + "\n"
+        + json.dumps({"original_words": ["dogs", "bark", "at", "night"],
+                      "labels": [1, 1, 0, 1], "boundary_m": 0}) + "\n"
+    )
+    out = tmp_path / "m.ckpt"
+    code = run_cli(["train", "--data", str(data), "--out", str(out), "--lr", "1e9",
+                    "--embed-dim", "16", "--layers", "1", "--heads", "2", "--ffn-dim", "32"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: epoch \d+ batch \d+: (loss is nan|\S+ gradient is not finite)\n",
+                        err), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["labeled.jsonl"]
 
 
 @pytest.mark.parametrize("argv", [

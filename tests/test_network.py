@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from efpc.errors import SequenceTooLong
 from efpc.model import (
     ModelConfig,
     ModelParams,
+    TrainConfig,
     backward,
     classify,
     encode,
@@ -131,3 +134,27 @@ def test_model_config_validation():
         ModelConfig(vocab_size=2)  # below reserved ids
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=20, max_seq_len=4)
+
+
+def _fields_and_wrong_values():
+    cases = []
+    for config_class in (ModelConfig, TrainConfig):
+        for f in fields(config_class):
+            wrong = ["64", True, None, [1]] + ([1.5] if f.type == "int" else [])
+            if f.type == "str":
+                wrong = [3, True, None, ["mask"]]
+            cases += [(config_class, f.name, value) for value in wrong]
+    return cases
+
+
+@pytest.mark.parametrize("config_class, name, value", _fields_and_wrong_values())
+def test_config_rejects_values_of_the_wrong_type_naming_the_field(config_class, name, value):
+    base = {"vocab_size": 20} if config_class is ModelConfig else {}
+    with pytest.raises(ValueError, match=f"^{name} must be (an integer|a number|a string), got "):
+        config_class(**(base | {name: value}))
+
+
+def test_config_accepts_numpy_numbers():
+    config = ModelConfig(vocab_size=np.int64(20), embed_dim=np.int32(8), num_heads=2)
+    assert config.head_dim == 4
+    assert TrainConfig(learning_rate=np.float32(1e-3), epochs=np.int64(2)).epochs == 2

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from efpc.align import LabeledExample
-from efpc.errors import EmptyDataset
-from efpc.model import TrainConfig, prepare_examples, token_accuracy, train
+from efpc.errors import EmptyDataset, NumericalDivergence
+from efpc.model import TrainConfig, prepare_examples, token_accuracy, train, training
 
 from helpers import (
     fast_train_config,
@@ -105,3 +105,40 @@ def test_long_examples_are_windowed_for_training():
     trained, report = train(model, data, fast_train_config(
         epochs=1, loss_variant="agnostic"))
     assert np.isfinite(report.final.loss)
+
+
+def test_divergent_loss_stops_training_naming_epoch_and_batch():
+    data = toy_rule_examples(4, 3)
+    model = small_model(data, embed_dim=16, num_layers=1, num_heads=2, ffn_dim=32)
+    with pytest.raises(NumericalDivergence, match=r"^epoch \d+ batch \d+: loss is nan$"):
+        train(model, data, fast_train_config(learning_rate=1e9, batch_size=2,
+                                             loss_variant="agnostic"))
+
+
+def test_non_finite_gradient_stops_training_before_the_update(monkeypatch):
+    data = toy_rule_examples(6, 3)
+    model = small_model(data, embed_dim=16, num_layers=1, num_heads=2, ffn_dim=32)
+    original = training.backward_detailed
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        loss, grads, probs = original(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 5:  # the first example of the third batch
+            grads["layer0.w1"][0, 0] = np.inf
+        return loss, grads, probs
+
+    steps = []
+    monkeypatch.setattr(training, "backward_detailed", poisoned)
+    monkeypatch.setattr(training, "adam_step", _counting(training.adam_step, steps))
+    with pytest.raises(NumericalDivergence,
+                       match=r"^epoch 0 batch 2: layer0.w1 gradient is not finite$"):
+        train(model, data, fast_train_config(batch_size=2, loss_variant="agnostic"))
+    assert len(steps) == 2
+
+
+def _counting(fn, calls):
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+    return counted
