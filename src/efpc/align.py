@@ -171,8 +171,13 @@ def write_labeled_jsonl(examples: list[LabeledExample], path) -> None:
 
 def read_labeled_jsonl(path) -> list[LabeledExample]:
     def build(rec):
+        instruction = split_words(rec.get("instruction", "")).words
+        if len(instruction) != rec["boundary_m"]:
+            raise LengthMismatch(
+                f"instruction has {len(instruction)} words but boundary_m is {rec['boundary_m']}"
+            )
         return LabeledExample(
-            words=split_words(rec.get("instruction", "")).words + tuple(rec["original_words"]),
+            words=instruction + tuple(rec["original_words"]),
             labels=tuple(rec["labels"]),
             boundary_m=rec["boundary_m"],
         )

@@ -49,12 +49,11 @@ from .evaluation import (
     evaluate_downstream,
 )
 from .model import (
-    Model,
+    LOSS_VARIANTS,
     ModelConfig,
     TrainConfig,
-    build_vocab,
-    init_params,
     load_checkpoint,
+    new_model,
     save_checkpoint,
     train,
 )
@@ -173,7 +172,7 @@ def _default(fn, name: str):
 
 
 def _with_default(text: str, fn, name: str) -> str:
-    return f"{text} (default {_default(fn, name):g})"
+    return f"{text} (default {_default(fn, name)})"
 
 
 # config key -> dest of the flag that overrides it, where the names differ
@@ -305,10 +304,7 @@ def cmd_train(args) -> int:
     if args.resume:
         model = load_checkpoint(args.resume)
     else:
-        # vocabulary and config are derived from the data unless resuming
-        vocab = build_vocab(examples)
-        model_cfg = ModelConfig(vocab_size=vocab.size, **_settings(cfg, args, "model"))
-        model = Model(config=model_cfg, vocab=vocab, params=init_params(model_cfg))
+        model = new_model(examples, **_settings(cfg, args, "model"))
     model, report = train(model, examples, train_cfg)
     save_checkpoint(model, out)
     for ep in report.epochs:
@@ -475,6 +471,18 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override it")
 
+    def training_flags(p):
+        p.add_argument("--loss", choices=LOSS_VARIANTS,
+                       help=_with_default("loss variant", TrainConfig, "loss_variant"))
+        p.add_argument("--lr", type=float,
+                       help=_with_default("learning rate", TrainConfig, "learning_rate"))
+        p.add_argument("--batch-size", type=int,
+                       help=_with_default("examples per update", TrainConfig, "batch_size"))
+        p.add_argument("--epochs", type=int,
+                       help=_with_default("training epochs", TrainConfig, "epochs"))
+        p.add_argument("--seed", type=int,
+                       help="seed for initialisation, shuffling and sweep subsets")
+
     p = sub.add_parser("distill", help="compress corpus chunks through a provider")
     common(p)
     p.add_argument("--corpus", help="JSONL ({'text', 'instruction'?}) or plain text file")
@@ -508,14 +516,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", help="labeled JSONL")
     p.add_argument("--out", help="output checkpoint path")
     p.add_argument("--resume", help="continue from an existing checkpoint")
-    p.add_argument("--loss", choices=["agnostic", "drop", "mask"], help="loss variant")
-    p.add_argument("--lr", type=float,
-                   help=_with_default("learning rate", TrainConfig, "learning_rate"))
-    p.add_argument("--batch-size", type=int,
-                   help=_with_default("examples per update", TrainConfig, "batch_size"))
-    p.add_argument("--epochs", type=int,
-                   help=_with_default("training epochs", TrainConfig, "epochs"))
-    p.add_argument("--seed", type=int, help="shuffling / init seed")
+    training_flags(p)
     p.add_argument("--embed-dim", type=int,
                    help=_with_default("model width", ModelConfig, "embed_dim"))
     p.add_argument("--layers", type=int,
@@ -560,11 +561,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fractions", default="0,0.1,0.5,1.0",
                    help="comma-separated fractions of the extra data")
     p.add_argument("--out-dir", help="directory for cell reports and summary.tsv")
-    p.add_argument("--loss", choices=["agnostic", "drop", "mask"], help="loss variant")
-    p.add_argument("--lr", type=float, help="learning rate")
-    p.add_argument("--batch-size", type=int, help="examples per update")
-    p.add_argument("--epochs", type=int, help="training epochs per cell")
-    p.add_argument("--seed", type=int, help="subset / shuffling seed")
+    training_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("stats", help="ratio histogram of a pairs dataset")

@@ -158,6 +158,10 @@ class MockProvider:
         return " ".join(kept)
 
 
+# client errors that a later attempt can succeed on: request timeout, rate limit
+_RETRIED_4XX = frozenset({408, 429})
+
+
 @dataclass
 class HttpProvider:
     """OpenAI-compatible chat-completion client.
@@ -165,8 +169,9 @@ class HttpProvider:
     Posts to ``base_url`` exactly as configured (include the full endpoint
     path, e.g. ``https://host/v1/chat/completions``). The bearer credential
     is read from the environment variable named by ``api_key_env``.
-    Transient failures are retried with exponential backoff starting at
-    one second.
+    Transient failures (connection errors, HTTP 408, 429 and 5xx, and
+    malformed replies) are retried with exponential backoff starting at
+    one second; any other 4xx status fails at once.
     """
 
     base_url: str
@@ -195,6 +200,10 @@ class HttpProvider:
                     headers=headers,
                     timeout=self.request_timeout,
                 )
+                if 400 <= resp.status_code < 500 and resp.status_code not in _RETRIED_4XX:
+                    raise TransportError(
+                        f"request rejected with HTTP {resp.status_code} {resp.reason}; not retried"
+                    )
                 resp.raise_for_status()
                 payload = resp.json()
                 return payload["choices"][0]["message"]["content"]

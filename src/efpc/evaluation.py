@@ -34,19 +34,11 @@ def _tokens(text: str) -> list[str]:
 
 
 def token_f1(predicted: str, gold: str) -> float:
-    """Bag-of-words overlap F1 on lowercased whitespace tokens."""
-    pred = Counter(_tokens(predicted))
-    ref = Counter(_tokens(gold))
-    if not pred and not ref:
+    """Bag-of-words overlap F1 on lowercased whitespace tokens (ROUGE-1
+    F1), except that two empty texts agree perfectly."""
+    if not _tokens(predicted) and not _tokens(gold):
         return 1.0
-    if not pred or not ref:
-        return 0.0
-    overlap = sum((pred & ref).values())
-    if overlap == 0:
-        return 0.0
-    precision = overlap / sum(pred.values())
-    recall = overlap / sum(ref.values())
-    return 2 * precision * recall / (precision + recall)
+    return rouge_n(predicted, gold, 1).f1
 
 
 def token_f1_max(predicted: str, golds: Sequence[str]) -> float:

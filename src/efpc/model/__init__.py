@@ -6,7 +6,7 @@ from .bundle import Model, new_model
 from .checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from .config import LOSS_VARIANTS, ModelConfig, TrainConfig
 from .losses import ce_grad_logits, ce_rows, loss_agnostic, loss_drop, loss_mask
-from .network import backward, backward_detailed, classify, encode, forward_loss
+from .network import backward_detailed, classify, encode, forward_loss
 from .params import (
     ModelParams,
     init_params,

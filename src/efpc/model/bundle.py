@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
 from ..align import LabeledExample
 from .config import ModelConfig
 from .params import ModelParams, init_params
@@ -23,18 +21,12 @@ class Model:
         return replace(self, params=params)
 
 
-def new_model(
-    dataset: Sequence[LabeledExample],
-    config: ModelConfig | None = None,
-    dtype=np.float32,
-    **config_overrides,
-) -> Model:
-    """Fresh model whose vocabulary covers the dataset.
+def new_model(dataset: Sequence[LabeledExample], **config_overrides) -> Model:
+    """Fresh float32 model whose vocabulary covers the dataset.
 
-    With no explicit config, defaults are used and vocab_size is derived;
-    overrides (embed_dim=..., seed=..., etc.) apply on top.
+    vocab_size is derived from the data; overrides (embed_dim=...,
+    seed=..., etc.) apply on top of the ModelConfig defaults.
     """
     vocab = build_vocab(dataset)
-    if config is None:
-        config = ModelConfig(vocab_size=vocab.size, **config_overrides)
-    return Model(config=config, vocab=vocab, params=init_params(config, dtype))
+    config = ModelConfig(vocab_size=vocab.size, **config_overrides)
+    return Model(config=config, vocab=vocab, params=init_params(config))

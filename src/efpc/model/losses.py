@@ -3,8 +3,10 @@
 Three variants differ only in how the instruction prefix is handled:
 ``agnostic`` has no prefix, ``drop`` averages over every position with the
 prefix labeled discard, and ``mask`` averages over original positions
-only. All three share one accumulation path, so the two prefixed variants
-collapse to the agnostic loss at boundary 0 with exact float equality.
+only. ``ce_rows`` maps a variant to the rows and labels it averages and
+``ce_loss`` evaluates any variant through that one path, so the two
+prefixed variants collapse to the agnostic loss at boundary 0 with exact
+float equality.
 
 Probabilities are clamped to [1e-12, 1−1e-12] before the log, and the
 gradient is defined as zero wherever the clamp is active.
@@ -31,9 +33,8 @@ def _mean_ce(probs: np.ndarray, labels: np.ndarray, start: int) -> float:
     return float(np.mean(-np.log(np.clip(p_true, PROB_FLOOR, PROB_CEIL))))
 
 
-def _check(probs, labels, boundary: int) -> tuple[np.ndarray, np.ndarray]:
+def _check(probs, labels, boundary: int) -> np.ndarray:
     probs = np.asarray(probs)
-    labels = np.asarray(labels)
     if probs.ndim != 2 or probs.shape[1] != 2:
         raise LengthMismatch("probs must be a (length, 2) array")
     if boundary + len(labels) != len(probs):
@@ -41,34 +42,15 @@ def _check(probs, labels, boundary: int) -> tuple[np.ndarray, np.ndarray]:
             f"{len(probs)} positions need {len(probs) - boundary} labels, "
             f"got {len(labels)}"
         )
-    return probs, labels
+    return probs
 
 
-def loss_agnostic(probs, labels) -> float:
-    """Mean CE over all positions; no instruction prefix exists."""
-    probs, labels = _check(probs, labels, 0)
-    return _mean_ce(probs, labels, 0)
-
-
-def loss_drop(probs, labels, boundary: int) -> float:
-    """Mean CE over every position, prefix positions labeled discard."""
-    probs, labels = _check(probs, labels, boundary)
-    full = np.concatenate([np.zeros(boundary, dtype=labels.dtype), labels])
-    return _mean_ce(probs, full, 0)
-
-
-def loss_mask(probs, labels, boundary: int) -> float:
-    """Mean CE over original positions only; prefix rows never contribute."""
-    probs, labels = _check(probs, labels, boundary)
-    return _mean_ce(probs, labels, boundary)
-
-
-def ce_rows(variant: str, labels: np.ndarray, boundary: int):
+def ce_rows(variant: str, labels, boundary: int):
     """Included row range and full label vector for a loss variant.
 
     Returns (start_row, labels_for_rows): the loss averages rows from
-    start_row on against labels_for_rows. Shared by the losses above and
-    the analytic backward pass so both see the same definition.
+    start_row on against labels_for_rows. The only place a variant is
+    interpreted; ``ce_loss`` and the analytic backward pass both read it.
     """
     labels = np.asarray(labels)
     if variant == "agnostic":
@@ -80,6 +62,28 @@ def ce_rows(variant: str, labels: np.ndarray, boundary: int):
     if variant == "mask":
         return boundary, labels
     raise ValueError(f"unknown loss variant {variant!r}")
+
+
+def ce_loss(variant: str, probs, labels, boundary: int) -> float:
+    """Mean clamped CE of a loss variant over a (length, 2) probability
+    array, for labels of the positions after ``boundary``."""
+    start, row_labels = ce_rows(variant, labels, boundary)
+    return _mean_ce(_check(probs, labels, boundary), row_labels, start)
+
+
+def loss_agnostic(probs, labels) -> float:
+    """Mean CE over all positions; no instruction prefix exists."""
+    return ce_loss("agnostic", probs, labels, 0)
+
+
+def loss_drop(probs, labels, boundary: int) -> float:
+    """Mean CE over every position, prefix positions labeled discard."""
+    return ce_loss("drop", probs, labels, boundary)
+
+
+def loss_mask(probs, labels, boundary: int) -> float:
+    """Mean CE over original positions only; prefix rows never contribute."""
+    return ce_loss("mask", probs, labels, boundary)
 
 
 def ce_grad_logits(

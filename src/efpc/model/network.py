@@ -7,6 +7,12 @@ with multi-head self-attention (no projection biases), a GELU feed-forward
 (no biases), and no final normalization. A 2-way linear head with bias
 turns each hidden state into (preserve, discard) logits.
 
+``classify`` is the only code that evaluates the head: inference,
+``forward_loss`` and ``backward_detailed`` all get their probabilities
+from it, in float64 whatever the parameter dtype, and all score them with
+``losses.ce_loss``. So the loss and probabilities training sees are the
+ones inference and ``forward_loss`` see, bit for bit.
+
 The forward pass keeps, per block, what the backward pass reads back:
 the block input ``x_in``, LN1's ``(xhat, inv_std)`` and output ``a``, the
 per-head ``q``, ``k``, ``v``, the attention weights ``attn`` and merged
@@ -28,8 +34,8 @@ import math
 import numpy as np
 
 from ..errors import SequenceTooLong
-from .config import ModelConfig
-from .losses import ce_grad_logits, ce_rows, loss_agnostic, loss_drop, loss_mask
+from .config import ModelConfig, TrainConfig
+from .losses import ce_grad_logits, ce_loss, ce_rows
 from .params import ModelParams
 from .tokenizer import TokenizedExample
 
@@ -158,34 +164,15 @@ def classify(params: ModelParams, h: np.ndarray) -> np.ndarray:
     return _softmax_rows(logits)
 
 
-def _loss_from_probs(variant: str, probs: np.ndarray, example: TokenizedExample) -> float:
-    labels = np.asarray(example.labels)
-    if variant == "agnostic":
-        return loss_agnostic(probs, labels)
-    if variant == "drop":
-        return loss_drop(probs, labels, example.boundary)
-    return loss_mask(probs, labels, example.boundary)
-
-
-def backward(
-    params: ModelParams,
-    config: ModelConfig,
-    example: TokenizedExample,
-    loss_variant: str = "mask",
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss value and its exact gradient for every parameter tensor."""
-    loss, grads, _ = backward_detailed(params, config, example, loss_variant)
-    return loss, grads
-
-
 def backward_detailed(
     params: ModelParams,
     config: ModelConfig,
     example: TokenizedExample,
-    loss_variant: str = "mask",
+    loss_variant: str = TrainConfig.loss_variant,
     grads: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    """backward() plus the per-position probabilities of the same pass.
+    """Loss, its exact gradient for every parameter tensor, and the
+    per-position probabilities of the same pass.
 
     The gradient is added into ``grads``, which is returned; without one,
     a zero table is made. Passing the returned table back in sums the
@@ -196,12 +183,12 @@ def backward_detailed(
     if grads is None:
         grads = {k: np.zeros_like(t) for k, t in params.tensors.items()}
 
-    logits = h @ params["cls_w"].T + params["cls_b"]
-    probs = _softmax_rows(logits)
-    loss = _loss_from_probs(loss_variant, probs, example)
+    probs = classify(params, h)
+    loss = ce_loss(loss_variant, probs, example.labels, example.boundary)
 
-    start, row_labels = ce_rows(loss_variant, np.asarray(example.labels), example.boundary)
-    dlogits = ce_grad_logits(probs, row_labels, start)
+    start, row_labels = ce_rows(loss_variant, example.labels, example.boundary)
+    # the head runs in float64; the blocks' backward stays in the parameter dtype
+    dlogits = ce_grad_logits(probs, row_labels, start).astype(h.dtype)
     grads["cls_w"] += dlogits.T @ h
     grads["cls_b"] += dlogits.sum(axis=0)
     dx = dlogits @ params["cls_w"]
@@ -253,9 +240,9 @@ def forward_loss(
     params: ModelParams,
     config: ModelConfig,
     example: TokenizedExample,
-    loss_variant: str = "mask",
+    loss_variant: str = TrainConfig.loss_variant,
 ) -> float:
-    """Loss only, via the same forward path backward differentiates."""
-    h, _ = _forward(params, config, example.token_ids)
-    logits = h @ params["cls_w"].T + params["cls_b"]
-    return _loss_from_probs(loss_variant, _softmax_rows(logits), example)
+    """Loss only, via the same forward pass and head backward_detailed
+    differentiates, so the two losses are equal."""
+    h = encode(params, config, example.token_ids)
+    return ce_loss(loss_variant, classify(params, h), example.labels, example.boundary)

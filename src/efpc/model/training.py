@@ -2,8 +2,9 @@
 
 Deterministic by construction: example order is shuffled by a seeded RNG,
 gradients are summed into one table per batch in index order and then
-averaged, and all arithmetic stays in the parameter dtype. Two runs with
-the same model, data, and config produce identical parameters and reports.
+averaged, and all arithmetic but the float64 head (``network.classify``)
+stays in the parameter dtype. Two runs with the same model, data, and
+config produce identical parameters and reports.
 
 Training stops with NumericalDivergence at the first example whose loss,
 or batch whose gradient, is not finite, rather than carrying NaNs on to
@@ -139,34 +140,28 @@ def train(
     return model.with_params(params), TrainReport(epochs=tuple(stats))
 
 
-def _example_probs(params, model: Model, example: TokenizedExample) -> np.ndarray:
-    h = encode(params, model.config, example.token_ids)
-    return classify(params, h)
-
-
 def token_accuracy(
-    model: Model, dataset: Sequence[LabeledExample], loss_variant: str = "mask"
+    model: Model,
+    dataset: Sequence[LabeledExample],
+    loss_variant: str = TrainConfig.loss_variant,
 ) -> tuple[float, list[float]]:
     """Mean and per-example fraction of original words classified right.
 
-    ``loss_variant`` controls input construction exactly as in training
-    (agnostic = instructions stripped); the metric itself is always over
-    original positions.
+    ``loss_variant`` controls input construction through
+    ``prepare_examples``, exactly as in training; the metric itself is
+    always over original positions.
     """
     if not dataset:
         raise EmptyDataset("no examples to score")
-    include_instruction = loss_variant != "agnostic"
+    params = model.params
     per_example: list[float] = []
     correct = 0
     total = 0
     for ex in dataset:
-        windows = window_example(
-            model.vocab, ex, model.config.max_seq_len, include_instruction
-        )
         ex_correct = 0
         ex_total = 0
-        for w in windows:
-            probs = _example_probs(model.params, model, w)
+        for w in prepare_examples(model, [ex], loss_variant):
+            probs = classify(params, encode(params, model.config, w.token_ids))
             c, t = _batch_accuracy(probs, w)
             ex_correct += c
             ex_total += t

@@ -19,10 +19,9 @@ from efpc.model import (
     ModelParams,
     TokenizedExample,
     TrainConfig,
-    backward,
-    build_vocab,
+    backward_detailed,
     forward_loss,
-    init_params,
+    new_model,
     tensor_shapes,
     vocab_from_words,
 )
@@ -78,17 +77,9 @@ def toy_rule_examples(n: int, seed: int, n_words: int = 12) -> list[LabeledExamp
 
 def small_model(dataset, *, embed_dim=32, num_layers=2, num_heads=4, ffn_dim=64,
                 max_seq_len=16, seed=5) -> Model:
-    vocab = build_vocab(dataset)
-    config = ModelConfig(
-        vocab_size=vocab.size,
-        embed_dim=embed_dim,
-        num_layers=num_layers,
-        num_heads=num_heads,
-        ffn_dim=ffn_dim,
-        max_seq_len=max_seq_len,
-        seed=seed,
-    )
-    return Model(config=config, vocab=vocab, params=init_params(config))
+    return new_model(dataset, embed_dim=embed_dim, num_layers=num_layers,
+                     num_heads=num_heads, ffn_dim=ffn_dim, max_seq_len=max_seq_len,
+                     seed=seed)
 
 
 def fast_train_config(**overrides) -> TrainConfig:
@@ -129,7 +120,7 @@ def max_grad_rel_err(
 
     Parameters must be float64 for the difference quotient to resolve.
     """
-    _, grads = backward(params, config, example, variant)
+    _, grads = backward_detailed(params, config, example, variant)[:2]
     worst = 0.0
     for name in sorted(grads):
         tensor = params[name]

@@ -12,7 +12,7 @@ from efpc.align import (
     write_labeled_jsonl,
 )
 from efpc.distill import DistilledDataset, DistilledPair
-from efpc.errors import LengthMismatch
+from efpc.errors import LengthMismatch, RecordError
 
 
 def test_label_pair_simple_deletion():
@@ -193,3 +193,12 @@ def test_labeled_jsonl_round_trip(tmp_path):
     write_labeled_jsonl(examples, path)
     back = read_labeled_jsonl(path)
     assert back == examples
+
+
+def test_labeled_jsonl_rejects_instruction_that_disagrees_with_boundary(tmp_path):
+    path = tmp_path / "labeled.jsonl"
+    path.write_text('{"instruction": "where is it", "original_words": ["x", "y"], '
+                    '"labels": [0, 0, 0, 1, 0], "boundary_m": 2}\n')
+    with pytest.raises(RecordError) as info:
+        read_labeled_jsonl(path)
+    assert str(info.value) == f"{path}:1: instruction has 3 words but boundary_m is 2"

@@ -339,9 +339,16 @@ GOOD_RECORDS = {
 }
 REQUIRED_FIELD = {"corpus": "text", "pairs": "compressed", "labeled": "boundary_m",
                   "qa": "answers"}
-# a value the record's type rejects on construction
-BAD_VALUE = {"pairs": ("compressed", " "), "labeled": ("labels", [0, 1]),
-             "qa": ("answers", [])}
+# fields whose values the record's reader or type rejects
+BAD_VALUES = {
+    ("pairs", "bad value"): {"compressed": " "},
+    ("labeled", "bad value"): {"labels": [0, 1]},
+    ("labeled", "instruction/boundary mismatch"): {
+        "instruction": "where is it", "original_words": ["x", "y"],
+        "labels": [0, 0, 0, 1, 0], "boundary_m": 2,
+    },
+    ("qa", "bad value"): {"answers": []},
+}
 
 
 def _reader_argv(kind, data, out, ckpt):
@@ -358,9 +365,8 @@ def _bad_line(kind, fault):
     good = GOOD_RECORDS[kind]
     if fault == "missing field":
         return json.dumps({k: v for k, v in good.items() if k != REQUIRED_FIELD[kind]})
-    if fault == "bad value":
-        field, value = BAD_VALUE[kind]
-        return json.dumps(good | {field: value})
+    if (kind, fault) in BAD_VALUES:
+        return json.dumps(good | BAD_VALUES[kind, fault])
     return {"not an object": '["a"]', "bad json": "{nope"}[fault]
 
 
@@ -368,7 +374,7 @@ RECORD_FAULTS = [
     (kind, fault)
     for kind in sorted(GOOD_RECORDS)
     for fault in ("missing field", "not an object", "bad json")
-] + [(kind, "bad value") for kind in sorted(BAD_VALUE)]
+] + sorted(BAD_VALUES)
 
 
 @pytest.mark.parametrize("kind, fault", RECORD_FAULTS)

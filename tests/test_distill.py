@@ -216,6 +216,9 @@ def test_ratio_histogram_validates():
 
 class _ChatHandler(http.server.BaseHTTPRequestHandler):
     fail_first = 0
+    # what each of the first fail_first requests gets: an HTTP status, or
+    # a 200 whose body is this string
+    failure = 500
     requests_seen = []
 
     def do_POST(self):
@@ -223,13 +226,16 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
         type(self).requests_seen.append(
             {"body": body, "auth": self.headers.get("Authorization")}
         )
+        reply = json.dumps({"choices": [{"message": {"content": "compressed words"}}]})
         if type(self).fail_first > 0:
             type(self).fail_first -= 1
-            self.send_response(500)
-            self.end_headers()
-            return
-        reply = {"choices": [{"message": {"content": "compressed words"}}]}
-        data = json.dumps(reply).encode()
+            if isinstance(type(self).failure, int):
+                self.send_response(type(self).failure)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+                return
+            reply = type(self).failure
+        data = reply.encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -243,9 +249,12 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
 @pytest.fixture
 def chat_server():
     _ChatHandler.fail_first = 0
+    _ChatHandler.failure = 500
     _ChatHandler.requests_seen = []
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval keeps shutdown() from waiting half a second
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
@@ -289,6 +298,29 @@ def test_http_provider_raises_after_exhausting_retries(chat_server):
     with pytest.raises(TransportError):
         provider.complete([{"role": "user", "content": "x"}])
     assert len(_ChatHandler.requests_seen) == 2
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404])
+def test_http_provider_does_not_retry_client_errors(chat_server, status):
+    _ChatHandler.fail_first = 99
+    _ChatHandler.failure = status
+    provider = HttpProvider(
+        base_url=chat_server, model_name="m", retry_delay=0.01, max_retries=3
+    )
+    with pytest.raises(TransportError, match=f"HTTP {status} "):
+        provider.complete([{"role": "user", "content": "x"}])
+    assert len(_ChatHandler.requests_seen) == 1
+
+
+@pytest.mark.parametrize("failure", [408, 429, 500, 503, "not json", '{"choices": []}'])
+def test_http_provider_retries_transient_failures(chat_server, failure):
+    _ChatHandler.fail_first = 2
+    _ChatHandler.failure = failure
+    provider = HttpProvider(
+        base_url=chat_server, model_name="m", retry_delay=0.01, max_retries=3
+    )
+    assert provider.complete([{"role": "user", "content": "x"}]) == "compressed words"
+    assert len(_ChatHandler.requests_seen) == 3
 
 
 def test_http_provider_unreachable_host():

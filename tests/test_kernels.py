@@ -17,7 +17,7 @@ from efpc.model import (
     ModelConfig,
     TrainConfig,
     adam_step,
-    backward,
+    backward_detailed,
     build_vocab,
     init_adam,
     init_params,
@@ -154,7 +154,7 @@ def test_batch_gradient_table_is_the_sum_of_example_gradients(case):
     windows = prepare_examples(model, dataset, variant)
     expected = {k: np.zeros_like(t) for k, t in model.params.tensors.items()}
     for ex in windows:
-        _, grads = backward(model.params, config, ex, variant)
+        _, grads = backward_detailed(model.params, config, ex, variant)[:2]
         for k in expected:
             expected[k] += grads[k]
 

@@ -2,15 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efpc.errors import LengthMismatch
 from efpc.model import (
+    LOSS_VARIANTS,
+    ModelConfig,
+    TokenizedExample,
+    backward_detailed,
     ce_grad_logits,
     ce_rows,
+    forward_loss,
+    init_params,
     loss_agnostic,
     loss_drop,
     loss_mask,
 )
+from efpc.model.losses import ce_loss
 
 LN2 = math.log(2.0)
 
@@ -149,3 +158,65 @@ def test_grad_matches_finite_difference_of_loss():
             lo[i, j] -= eps
             numeric = (loss_of(hi) - loss_of(lo)) / (2 * eps)
             assert analytic[i, j] == pytest.approx(numeric, abs=1e-8)
+
+
+# ---------------------------------------------- one loss rule everywhere
+
+TINY = ModelConfig(vocab_size=12, embed_dim=8, num_layers=1, num_heads=2, ffn_dim=16,
+                   max_seq_len=16, seed=2)
+TINY_PARAMS = init_params(TINY)
+
+
+@st.composite
+def _loss_cases(draw):
+    """Probabilities, labels and boundary, plus a tokenized example of the
+    same shape for the model-level entry points."""
+    boundary = draw(st.integers(0, 4))
+    labels = draw(st.lists(st.integers(0, 1), min_size=1, max_size=8))
+    length = boundary + len(labels)
+    p = draw(st.lists(st.floats(0.0, 1.0), min_size=length, max_size=length))
+    ids = draw(st.lists(st.integers(3, TINY.vocab_size - 1), min_size=length,
+                        max_size=length))
+    probs = np.stack([np.array(p), 1.0 - np.array(p)], axis=1)
+    example = TokenizedExample(token_ids=tuple(ids), labels=tuple(labels), boundary=boundary)
+    return probs, np.array(labels), boundary, example
+
+
+def _error(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_loss_cases())
+def test_public_losses_are_ce_loss(case):
+    probs, labels, boundary, _ = case
+    assert loss_mask(probs, labels, boundary) == ce_loss("mask", probs, labels, boundary)
+    assert loss_drop(probs, labels, boundary) == ce_loss("drop", probs, labels, boundary)
+    if boundary == 0:
+        assert loss_agnostic(probs, labels) == ce_loss("agnostic", probs, labels, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_loss_cases(), st.text(max_size=8).filter(lambda v: v not in LOSS_VARIANTS))
+def test_unknown_variant_raises_the_same_error_everywhere(case, variant):
+    probs, labels, boundary, example = case
+    errors = {
+        _error(ce_loss, variant, probs, labels, boundary),
+        _error(forward_loss, TINY_PARAMS, TINY, example, variant),
+        _error(backward_detailed, TINY_PARAMS, TINY, example, variant),
+    }
+    assert errors == {(ValueError, f"unknown loss variant {variant!r}")}
+
+
+@settings(max_examples=30, deadline=None)
+@given(_loss_cases().filter(lambda case: case[2] > 0))
+def test_agnostic_loss_on_a_prefixed_example_raises_the_same_error_everywhere(case):
+    probs, labels, boundary, example = case
+    errors = {
+        _error(ce_loss, "agnostic", probs, labels, boundary),
+        _error(forward_loss, TINY_PARAMS, TINY, example, "agnostic"),
+        _error(backward_detailed, TINY_PARAMS, TINY, example, "agnostic"),
+    }
+    assert errors == {(ValueError, "agnostic loss requires boundary 0")}

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -88,3 +89,23 @@ def test_metric_ranges_and_identities():
         if x and y:
             # rouge-l never exceeds rouge-1: an LCS is a word-level matching
             assert rouge_l(x, y).f1 <= rouge_n(x, y, 1).f1 + TOL
+
+
+def _bag_of_words_f1(predicted, gold):
+    """Token F1 written out on its own, as a reference."""
+    pred, ref = Counter(predicted.lower().split()), Counter(gold.lower().split())
+    if not pred and not ref:
+        return 1.0
+    overlap = sum((pred & ref).values())
+    if overlap == 0:
+        return 0.0
+    precision = overlap / sum(pred.values())
+    recall = overlap / sum(ref.values())
+    return 2 * precision * recall / (precision + recall)
+
+
+def test_token_f1_equals_the_written_out_formula_exactly():
+    rng = random.Random(12)
+    for _ in range(300):
+        x, y = _random_text(rng), _random_text(rng)
+        assert token_f1(x, y) == _bag_of_words_f1(x, y)

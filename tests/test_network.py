@@ -5,10 +5,11 @@ import pytest
 
 from efpc.errors import SequenceTooLong
 from efpc.model import (
+    LOSS_VARIANTS,
     ModelConfig,
     ModelParams,
     TrainConfig,
-    backward,
+    backward_detailed,
     classify,
     encode,
     forward_loss,
@@ -101,21 +102,32 @@ def test_seed_changes_parameters():
     assert not np.array_equal(mine["token_emb"], other["token_emb"])
 
 
-def test_backward_loss_matches_forward_loss(params):
+@pytest.mark.parametrize("variant", LOSS_VARIANTS)
+def test_training_pass_uses_the_inference_head_and_loss(params, variant):
     vocab = vocab_from_words(list("abcdefgh"))
-    ex = tokenize_words(vocab, ["a"], ["b", "c", "d"], [1, 0, 1])
-    for variant in ("mask", "drop"):
-        loss, grads = backward(params, CFG, ex, variant)
-        assert loss == pytest.approx(forward_loss(params, CFG, ex, variant), abs=1e-12)
-        assert set(grads) == set(params.tensors)
-        for name, g in grads.items():
-            assert g.shape == params[name].shape
+    instruction = [] if variant == "agnostic" else ["a"]
+    ex = tokenize_words(vocab, instruction, ["b", "c", "d"], [1, 0, 1])
+    loss, grads, probs = backward_detailed(params, CFG, ex, variant)
+    assert np.array_equal(probs, classify(params, encode(params, CFG, ex.token_ids)))
+    assert probs.dtype == np.float64
+    assert loss == forward_loss(params, CFG, ex, variant)
+    assert set(grads) == set(params.tensors)
+    for name, g in grads.items():
+        assert g.shape == params[name].shape
+        assert g.dtype == params[name].dtype
+
+
+def test_forward_loss_rejects_an_unknown_variant(params):
+    vocab = vocab_from_words(list("abcdefgh"))
+    ex = tokenize_words(vocab, ["a"], ["b", "c"], [1, 0])
+    with pytest.raises(ValueError, match="unknown loss variant 'focal'"):
+        forward_loss(params, CFG, ex, "focal")
 
 
 def test_gradients_flow_to_used_embeddings_only(params):
     vocab = vocab_from_words(list("abcdefgh"))
     ex = tokenize_words(vocab, [], ["a", "b"], [1, 0])
-    _, grads = backward(params, CFG, ex, "agnostic")
+    _, grads = backward_detailed(params, CFG, ex, "agnostic")[:2]
     used = set(ex.token_ids)
     g = grads["token_emb"]
     for row in range(CFG.vocab_size):
