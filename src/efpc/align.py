@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Sequence
 
 from ._util import read_jsonl, round_half_up, write_jsonl
 from .distill import DistilledDataset
@@ -62,7 +63,7 @@ class LabeledExample:
             raise LengthMismatch("instruction words must carry label 0")
 
 
-def label_pair(original_words: list[str], compressed_words: list[str]) -> AlignmentResult:
+def label_pair(original_words: Sequence[str], compressed_words: Sequence[str]) -> AlignmentResult:
     """Greedy in-order alignment of compressed words onto original words.
 
     For each original word (left to right) the cursor checks the next
@@ -89,10 +90,10 @@ def label_pair(original_words: list[str], compressed_words: list[str]) -> Alignm
 
 def build_example(instruction: str, original: str, compressed: str) -> tuple[LabeledExample, AlignmentResult]:
     """Label one distilled pair, prefixing instruction words with label 0."""
-    instr_words = split_words(instruction).words
-    orig_words = split_words(original).words
-    comp_words = split_words(compressed).words
-    result = label_pair(list(orig_words), list(comp_words))
+    instr_words = split_words(instruction)
+    orig_words = split_words(original)
+    comp_words = split_words(compressed)
+    result = label_pair(orig_words, comp_words)
     example = LabeledExample(
         words=instr_words + orig_words,
         labels=(0,) * len(instr_words) + result.labels,
@@ -156,22 +157,35 @@ def mix_datasets(
 
 
 def write_labeled_jsonl(examples: list[LabeledExample], path) -> None:
-    """One JSON object per example, UTF-8 with LF line endings."""
-    records = [
-        {
-            "instruction": " ".join(ex.words[: ex.boundary_m]),
-            "original_words": list(ex.words[ex.boundary_m :]),
-            "labels": list(ex.labels),
-            "boundary_m": ex.boundary_m,
-        }
-        for ex in examples
-    ]
+    """One JSON object per example, UTF-8 with LF line endings.
+
+    The instruction is stored as its words joined by spaces, which splits
+    back into the same words only if none is empty or holds whitespace; an
+    example with such a word raises ``ValueError`` before anything is
+    written.
+    """
+    records = []
+    for i, ex in enumerate(examples):
+        instruction = ex.words[: ex.boundary_m]
+        for word in instruction:
+            if split_words(word) != (word,):
+                raise ValueError(
+                    f"example {i}: instruction word {word!r} is empty or holds whitespace"
+                )
+        records.append(
+            {
+                "instruction": " ".join(instruction),
+                "original_words": list(ex.words[ex.boundary_m :]),
+                "labels": list(ex.labels),
+                "boundary_m": ex.boundary_m,
+            }
+        )
     write_jsonl(path, records)
 
 
 def read_labeled_jsonl(path) -> list[LabeledExample]:
     def build(rec):
-        instruction = split_words(rec.get("instruction", "")).words
+        instruction = split_words(rec.get("instruction", ""))
         if len(instruction) != rec["boundary_m"]:
             raise LengthMismatch(
                 f"instruction has {len(instruction)} words but boundary_m is {rec['boundary_m']}"

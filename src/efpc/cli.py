@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import digest_obj, read_jsonl, sha256_file, write_atomic, write_jsonl
+from ._util import _KINDS, digest_obj, read_jsonl, sha256_file, write_atomic, write_jsonl
 from .align import (
     label_distilled_pairs,
     read_labeled_jsonl,
@@ -72,18 +72,19 @@ class _Parser(argparse.ArgumentParser):
 
 # ------------------------------------------------------------- run config
 
+# section -> key -> JSON kind of its value (a key of ``_util._KINDS``);
+# ModelConfig and TrainConfig check the model and train values themselves
 _SECTION_KEYS = {
-    "provider": {"mock", "base_url", "model_name", "max_concurrency", "max_units"},
-    "model": {"embed_dim", "num_layers", "num_heads", "ffn_dim", "max_seq_len", "seed"},
-    "train": {
-        "learning_rate",
-        "batch_size",
-        "epochs",
-        "loss_variant",
-        "seed",
-    },
-    "compress": {"ratio", "budget", "instruction"},
-    "paths": {"corpus", "pairs", "labeled", "checkpoint", "report", "out_dir"},
+    "provider": {"mock": "boolean", "base_url": "string", "model_name": "string",
+                 "max_concurrency": "integer", "max_units": "integer"},
+    "model": dict.fromkeys(
+        ("embed_dim", "num_layers", "num_heads", "ffn_dim", "max_seq_len", "seed")
+    ),
+    "train": dict.fromkeys(("learning_rate", "batch_size", "epochs", "loss_variant", "seed")),
+    "compress": {"ratio": "finite number", "budget": "integer", "instruction": "string"},
+    "paths": dict.fromkeys(
+        ("corpus", "pairs", "labeled", "checkpoint", "report", "out_dir"), "string"
+    ),
 }
 
 
@@ -114,7 +115,7 @@ def load_config(path) -> RunConfig:
     seed = None
     for key, value in raw.items():
         if key == "seed":
-            if not isinstance(value, int):
+            if not _KINDS["integer"](value):
                 raise ConfigValidationError("seed must be an integer")
             seed = value
             continue
@@ -122,11 +123,17 @@ def load_config(path) -> RunConfig:
             raise ConfigValidationError(f"unknown config section {key!r}")
         if not isinstance(value, dict):
             raise ConfigValidationError(f"section {key!r} must be an object")
-        unknown = set(value) - _SECTION_KEYS[key]
+        unknown = value.keys() - _SECTION_KEYS[key].keys()
         if unknown:
             raise ConfigValidationError(
                 f"unknown key {sorted(unknown)[0]!r} in section {key!r}"
             )
+        for name, item in value.items():
+            kind = _SECTION_KEYS[key][name]
+            if kind is not None and not _KINDS[kind](item):
+                raise ConfigValidationError(
+                    f"{key}.{name} must be a {kind}, got {json.dumps(item)[:40]}"
+                )
         sections[key] = dict(value)
     cfg = RunConfig(seed=seed, **{k: sections.get(k, {}) for k in _SECTION_KEYS})
     if "ratio" in cfg.compress and "budget" in cfg.compress:

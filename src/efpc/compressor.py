@@ -17,7 +17,7 @@ from ._util import round_half_up
 from .errors import EfpcError
 from .model import Model, classify, encode, window_example
 from .align import LabeledExample
-from .text_core import WordSeq, split_words
+from .text_core import split_words
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def target_keep_count(n: int, tau: float) -> int:
     return min(max(round_half_up(tau * n), 1), n)
 
 
-def score_words(model: Model, instruction: str, original: WordSeq) -> np.ndarray:
+def score_words(model: Model, instruction: str, original: tuple[str, ...]) -> np.ndarray:
     """Preserve probability for every original word.
 
     Inputs longer than the model's window are scored in consecutive
@@ -94,9 +94,9 @@ def score_words(model: Model, instruction: str, original: WordSeq) -> np.ndarray
     """
     if len(original) == 0:
         raise ValueError("original text has no words")
-    instr_words = split_words(instruction).words
+    instr_words = split_words(instruction)
     carrier = LabeledExample(
-        words=instr_words + original.words,
+        words=instr_words + original,
         labels=(0,) * (len(instr_words) + len(original)),
         boundary_m=len(instr_words),
     )
@@ -126,7 +126,7 @@ def compress(model: Model, request: CompressionRequest) -> CompressionResult:
     ranked = np.argsort(-probs, kind="stable")
     kept = np.sort(ranked[:n_keep])
     return CompressionResult(
-        kept_words=tuple(original.words[i] for i in kept),
+        kept_words=tuple(original[i] for i in kept),
         kept_indices=tuple(int(i) for i in kept),
         probabilities=tuple(float(p) for p in probs),
         achieved_inverse_ratio=n / n_keep,

@@ -30,7 +30,7 @@ from .errors import (
     EmptyDataset,
     TransportError,
 )
-from .text_core import Chunk, chunk_document, count_units, normalize_word, sentence_ranges, split_words
+from .text_core import chunk_document, normalize_word, sentence_ranges, split_words
 
 logger = logging.getLogger(__name__)
 
@@ -100,12 +100,12 @@ class RatioHistogram:
     n: int
 
 
-def build_compression_request(instruction: str, chunk: Chunk) -> list[dict[str, str]]:
+def build_compression_request(instruction: str, chunk: str) -> list[dict[str, str]]:
     """Single user message holding the directive, optional task, and text."""
     parts = [COMPRESSION_DIRECTIVE]
     if instruction:
         parts.append("Task:\n" + instruction)
-    parts.append("Text:\n" + chunk.text)
+    parts.append("Text:\n" + chunk)
     return [{"role": "user", "content": "\n\n".join(parts)}]
 
 
@@ -136,7 +136,7 @@ class MockProvider:
 
     def complete(self, messages: list[dict[str, str]]) -> str:
         instruction, text = _parse_request(messages[-1]["content"])
-        words = split_words(text).words
+        words = split_words(text)
         ranges = sentence_ranges(words)
         if instruction.strip():
             terms = {normalize_word(w) for w in instruction.split()}
@@ -217,25 +217,23 @@ class HttpProvider:
 
 def compression_ratio(original: str, compressed: str) -> float:
     """Word count of the original divided by word count of the compression."""
-    n_compressed = count_units(split_words(compressed))
+    n_compressed = len(split_words(compressed))
     if n_compressed == 0:
         raise EmptyCompression("compressed text has no words")
-    return count_units(split_words(original)) / n_compressed
+    return len(split_words(original)) / n_compressed
 
 
 def compress_chunk_via_llm(
-    provider: LlmProvider, instruction: str, chunk: Chunk
+    provider: LlmProvider, instruction: str, chunk: str
 ) -> DistilledPair:
     """Request a compression of one chunk and package it with its ratio."""
     messages = build_compression_request(instruction, chunk)
     text = provider.complete(messages).strip()
-    if not split_words(text).words:
-        raise EmptyCompression("provider returned no usable text")
     return DistilledPair(
-        chunk_text=chunk.text,
+        chunk_text=chunk,
         compressed_text=text,
         instruction=instruction,
-        ratio=compression_ratio(chunk.text, text),
+        ratio=compression_ratio(chunk, text),
     )
 
 
@@ -262,14 +260,14 @@ def distill_corpus(
     if len(instructions) != len(docs):
         raise ValueError("instructions must align one-to-one with docs")
 
-    jobs: list[tuple[int, int, str, Chunk]] = []
+    jobs: list[tuple[int, int, str, str]] = []
     for doc_id, (doc, instruction) in enumerate(zip(docs, instructions)):
         for chunk_idx, chunk in enumerate(chunk_document(doc, max_units)):
             jobs.append((doc_id, chunk_idx, instruction, chunk))
     if not jobs:
         raise EmptyDataset("documents contain no words")
 
-    def run_job(job: tuple[int, int, str, Chunk]):
+    def run_job(job: tuple[int, int, str, str]):
         doc_id, chunk_idx, instruction, chunk = job
         pair = compress_chunk_via_llm(provider, instruction, chunk)
         return replace(pair, doc_id=doc_id, chunk_idx=chunk_idx)

@@ -200,7 +200,7 @@ class ContextAnswerTarget:
         content = messages[-1]["content"]
         head, _, question = content.rpartition("\n\nQuestion:\n")
         _, _, context = head.rpartition("Context:\n")
-        ctx_words = split_words(context).words
+        ctx_words = split_words(context)
         terms = {normalize_word(w) for w in question.split()} - {""}
         start = 0
         for i, w in enumerate(ctx_words):

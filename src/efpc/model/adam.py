@@ -15,6 +15,11 @@ from ..errors import ShapeMismatch
 from .config import TrainConfig
 from .params import ModelParams
 
+# moment decay rates and the denominator's epsilon, fixed for every run
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class AdamState:
@@ -42,7 +47,7 @@ def adam_step(
     if set(grads) != set(params.tensors):
         raise ShapeMismatch("gradient table keys do not match parameters")
     t = state.step + 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = BETA1, BETA2
     new_params: dict[str, np.ndarray] = {}
     new_m: dict[str, np.ndarray] = {}
     new_v: dict[str, np.ndarray] = {}
@@ -66,7 +71,7 @@ def adam_step(
         v += scratch
         new = np.divide(v, 1.0 - b2**t)
         np.sqrt(new, out=new)
-        new += config.epsilon
+        new += EPSILON
         np.divide(m, 1.0 - b1**t, out=scratch)
         scratch *= config.learning_rate
         scratch /= new

@@ -51,9 +51,6 @@ class TrainConfig:
     batch_size: int = 10
     epochs: int = 10
     loss_variant: str = "mask"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):

@@ -1,6 +1,7 @@
-"""Word segmentation, unit counting, and sentence-greedy chunking.
+"""Word segmentation and sentence-greedy chunking.
 
-Every stage of the pipeline counts whitespace-delimited words. Using one
+Every stage of the pipeline counts whitespace-delimited words, and a
+text's words are the plain tuple :func:`split_words` returns. Using one
 unit everywhere (budgets, labels, ratios) keeps the pipeline independent
 of any particular subword tokenizer.
 """
@@ -9,72 +10,18 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 
 _WORD_RE = re.compile(r"\S+")
 _SENTENCE_END = (".", "!", "?")
 
 
-@dataclass(frozen=True)
-class WordSeq:
-    """A text decomposed into words with byte offsets into the UTF-8 source.
-
-    Offsets are strictly increasing and non-overlapping, and slicing the
-    encoded source by ``offsets[i]`` reproduces ``words[i]`` exactly.
-    """
-
-    words: tuple[str, ...]
-    offsets: tuple[tuple[int, int], ...]
-    source_len: int
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-@dataclass(frozen=True)
-class Chunk:
-    """A contiguous run of words packed by :func:`chunk_document`.
-
-    ``ends_with_period`` reports whether the final word ends a sentence;
-    it is false for force-split pieces and for an unterminated document
-    tail. ``span`` is the (byte_start, byte_end) range in the source.
-    """
-
-    text: str
-    unit_count: int
-    ends_with_period: bool
-    span: tuple[int, int]
-
-
-def split_words(text: str) -> WordSeq:
+def split_words(text: str) -> tuple[str, ...]:
     """Split text into maximal runs of non-whitespace characters.
 
     Punctuation stays attached to its word. Empty or all-whitespace text
-    yields an empty sequence.
+    yields an empty tuple.
     """
-    words: list[str] = []
-    offsets: list[tuple[int, int]] = []
-    byte_pos = 0
-    char_pos = 0
-    for m in _WORD_RE.finditer(text):
-        byte_pos += len(text[char_pos : m.start()].encode("utf-8"))
-        word = m.group()
-        nbytes = len(word.encode("utf-8"))
-        words.append(word)
-        offsets.append((byte_pos, byte_pos + nbytes))
-        byte_pos += nbytes
-        char_pos = m.end()
-    byte_pos += len(text[char_pos:].encode("utf-8"))
-    return WordSeq(tuple(words), tuple(offsets), byte_pos)
-
-
-def count_units(seq: WordSeq) -> int:
-    """Number of words in the sequence."""
-    return len(seq.words)
-
-
-def ends_sentence(word: str) -> bool:
-    return word.endswith(_SENTENCE_END)
+    return tuple(text.split())
 
 
 def sentence_ranges(words: tuple[str, ...] | list[str]) -> list[tuple[int, int]]:
@@ -86,7 +33,7 @@ def sentence_ranges(words: tuple[str, ...] | list[str]) -> list[tuple[int, int]]
     ranges: list[tuple[int, int]] = []
     start = 0
     for i, w in enumerate(words):
-        if ends_sentence(w):
+        if w.endswith(_SENTENCE_END):
             ranges.append((start, i + 1))
             start = i + 1
     if start < len(words):
@@ -94,23 +41,22 @@ def sentence_ranges(words: tuple[str, ...] | list[str]) -> list[tuple[int, int]]
     return ranges
 
 
-def chunk_document(text: str, max_units: int) -> list[Chunk]:
+def chunk_document(text: str, max_units: int) -> list[str]:
     """Partition a document into chunks of at most ``max_units`` words.
 
     Whole sentences are packed greedily in order. A single sentence longer
     than ``max_units`` is force-split into consecutive ``max_units``-sized
-    pieces, each emitted as its own chunk.
+    pieces, each emitted as its own chunk. A chunk is the source text from
+    its first word's start to its last word's end, whitespace included.
     """
     if max_units < 1:
         raise ValueError("max_units must be >= 1")
-    seq = split_words(text)
-    if not seq.words:
-        return []
-    encoded = text.encode("utf-8")
+    spans = [m.span() for m in _WORD_RE.finditer(text)]
+    words = [text[start:end] for start, end in spans]
 
     ranges: list[tuple[int, int]] = []
     acc: tuple[int, int] | None = None
-    for s, e in sentence_ranges(seq.words):
+    for s, e in sentence_ranges(words):
         n = e - s
         if n > max_units:
             if acc is not None:
@@ -127,20 +73,7 @@ def chunk_document(text: str, max_units: int) -> list[Chunk]:
             acc = (s, e)
     if acc is not None:
         ranges.append(acc)
-
-    chunks = []
-    for s, e in ranges:
-        byte_start = seq.offsets[s][0]
-        byte_end = seq.offsets[e - 1][1]
-        chunks.append(
-            Chunk(
-                text=encoded[byte_start:byte_end].decode("utf-8"),
-                unit_count=e - s,
-                ends_with_period=ends_sentence(seq.words[e - 1]),
-                span=(byte_start, byte_end),
-            )
-        )
-    return chunks
+    return [text[spans[s][0] : spans[e - 1][1]] for s, e in ranges]
 
 
 def normalize_word(word: str) -> str:

@@ -1,6 +1,10 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efpc.align import (
     LabeledExample,
@@ -202,3 +206,25 @@ def test_labeled_jsonl_rejects_instruction_that_disagrees_with_boundary(tmp_path
     with pytest.raises(RecordError) as info:
         read_labeled_jsonl(path)
     assert str(info.value) == f"{path}:1: instruction has 3 words but boundary_m is 2"
+
+
+@pytest.mark.parametrize("bad_word", ["new york", ""])
+def test_write_labeled_jsonl_rejects_an_instruction_word_its_reader_would_split(tmp_path,
+                                                                            bad_word):
+    good = LabeledExample(words=("who", "x"), labels=(0, 1), boundary_m=1)
+    bad = LabeledExample(words=(bad_word, "x", "y"), labels=(0, 0, 1), boundary_m=1)
+    path = tmp_path / "labeled.jsonl"
+    with pytest.raises(ValueError) as info:
+        write_labeled_jsonl([good, bad], path)
+    assert str(info.value) == f"example 1: instruction word {bad_word!r} is empty or holds whitespace"
+    assert not path.exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(max_size=30), st.text(max_size=60), st.text(max_size=60))
+def test_labeled_jsonl_round_trips_every_built_example(instruction, original, compressed):
+    example, _ = build_example(instruction, original, compressed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labeled.jsonl"
+        write_labeled_jsonl([example], path)
+        assert read_labeled_jsonl(path) == [example]

@@ -1,8 +1,12 @@
 """The traced benchmark run patches names inside efpc's modules and reads
 counts off their arguments and results; a rename or a signature change
-there would make the traced run fail, so both are checked."""
+there would make the traced run fail, so both are checked. The benchmark's
+input and workload modules are imported too, so a name they take from efpc
+that goes away fails here rather than in the benchmark."""
 
+import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 from efpc import compressor
@@ -11,7 +15,8 @@ from efpc.model import training
 
 from helpers import fast_train_config, parity_examples, small_model
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _spans_module():
@@ -56,3 +61,14 @@ def test_traced_train_and_compress_record_token_counts_without_errors():
     metrics = spans.layer_metrics(tracer.spans, trained.config, checkpoint_bytes=0)
     assert metrics["network.backward.tokens"]["value"] > 0
     assert metrics["adam.steps"]["value"] == 2
+
+
+def test_bench_inputs_and_workloads_import(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        inputs = importlib.import_module("inputs")
+        workloads = importlib.import_module("workloads")
+        assert callable(inputs.qa_stream) and callable(workloads.run_train)
+    finally:
+        for name in ("inputs", "workloads"):
+            sys.modules.pop(name, None)

@@ -76,9 +76,10 @@ def test_load_config_rejects_ratio_and_budget_together(tmp_path):
 
 def test_load_config_rejects_non_integer_seed(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"seed": "7"}')
-    with pytest.raises(ConfigValidationError):
-        load_config(path)
+    for value in ('"7"', "true"):
+        path.write_text('{"seed": %s}' % value)
+        with pytest.raises(ConfigValidationError):
+            load_config(path)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -435,6 +436,41 @@ def test_wrong_type_config_values_exit_one_naming_the_key(pipeline, tmp_path, ca
             assert err.startswith(f"error: {key} must be "), err
             assert err.count("\n") == 1
             assert not out.exists()
+
+
+# values of another JSON kind than each provider, compress and paths key takes
+_WRONG_KIND_VALUES = {
+    "boolean": ["no", 0, None],
+    "string": [5, True, None, ["x"]],
+    "integer": ["x", 2.5, True, None],
+    "finite number": ["x", True, None, [1], float("nan")],
+}
+WRONG_KIND_CONFIGS = [
+    (section, key, value)
+    for section in ("provider", "compress", "paths")
+    for key, kind in sorted(_SECTION_KEYS[section].items())
+    for value in _WRONG_KIND_VALUES[kind]
+]
+
+
+@pytest.mark.parametrize("section, key, value", WRONG_KIND_CONFIGS)
+def test_wrong_kind_config_value_exits_one_naming_section_and_key(pipeline, tmp_path, capsys,
+                                                                 section, key, value):
+    _, corpus, _, _, ckpt = pipeline
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    out = tmp_path / "out.jsonl"
+    if section == "compress":
+        doc = tmp_path / "doc.txt"
+        doc.write_text("the cat sat on the mat")
+        argv = ["compress", "--checkpoint", str(ckpt), "--input", str(doc), "--out", str(out)]
+    else:
+        argv = ["distill", "--corpus", str(corpus), "--out", str(out)]
+    assert run_cli(argv + ["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {section}.{key} must be a "), err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_divergent_training_exits_two_and_writes_no_checkpoint(tmp_path, capsys):

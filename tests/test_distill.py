@@ -59,8 +59,8 @@ def test_mock_provider_output_is_word_subsequence():
     mock = MockProvider()
     text, question = RATIO_DOCS[0]
     msgs = build_compression_request(question, _chunk(text))
-    out = split_words(mock.complete(msgs)).words
-    source = list(split_words(text).words)
+    out = split_words(mock.complete(msgs))
+    source = list(split_words(text))
     it = iter(source)
     assert all(any(w == s for s in it) for w in out), "not an in-order subsequence"
 

@@ -25,6 +25,7 @@ from efpc.model import (
     train,
 )
 from efpc.model import training
+from efpc.model.adam import BETA1, BETA2, EPSILON
 from efpc.model.network import _gelu, _gelu_grad, _softmax_rows, _softmax_rows_backward
 
 RNG = np.random.default_rng(0)
@@ -38,7 +39,7 @@ def _old_softmax_rows(x):
 
 def _old_adam_step(params, grads, state, config):
     t = state.step + 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = BETA1, BETA2
     new_params, new_m, new_v = {}, {}, {}
     for name, theta in params.tensors.items():
         g = grads[name]
@@ -46,7 +47,7 @@ def _old_adam_step(params, grads, state, config):
         v = b2 * state.v[name] + (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        new_params[name] = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        new_params[name] = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
         new_m[name] = m
         new_v[name] = v
     return new_params, new_m, new_v

@@ -1,37 +1,24 @@
-import pytest
+import re
 
-from efpc.text_core import (
-    Chunk,
-    chunk_document,
-    count_units,
-    normalize_word,
-    sentence_ranges,
-    split_words,
-)
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from efpc.text_core import chunk_document, normalize_word, sentence_ranges, split_words
 
 
 def test_split_words_basic():
-    seq = split_words("the cat  sat")
-    assert seq.words == ("the", "cat", "sat")
-    assert len(seq) == 3
+    assert split_words("the cat  sat") == ("the", "cat", "sat")
 
 
 def test_split_words_empty_and_whitespace():
-    assert split_words("").words == ()
-    assert split_words("  \n\t ").words == ()
+    assert split_words("") == ()
+    assert split_words("  \n\t ") == ()
 
 
-def test_split_words_offsets_are_utf8_bytes():
-    text = "café naïve ok"
-    seq = split_words(text)
-    data = text.encode("utf-8")
-    for word, (start, end) in zip(seq.words, seq.offsets):
-        assert data[start:end].decode("utf-8") == word
-
-
-def test_count_units_counts_words():
-    assert count_units(split_words("a b c")) == 3
-    assert count_units(split_words("")) == 0
+@given(st.text())
+def test_split_words_takes_every_maximal_non_whitespace_run(text):
+    assert split_words(text) == tuple(re.findall(r"\S+", text))
 
 
 @pytest.mark.parametrize(
@@ -51,58 +38,52 @@ def test_normalize_word(word, expected):
 
 
 def test_sentence_ranges_trailing_run_counts():
-    words = split_words("a b. c d! e").words
+    words = split_words("a b. c d! e")
     assert sentence_ranges(words) == [(0, 2), (2, 4), (4, 5)]
 
 
 def test_sentence_ranges_single_terminated():
-    words = split_words("one two three.").words
+    words = split_words("one two three.")
     assert sentence_ranges(words) == [(0, 3)]
 
 
 def test_chunk_short_document_is_one_chunk():
     chunks = chunk_document("w1 w2 w3", max_units=10)
     assert len(chunks) == 1
-    assert chunks[0].text == "w1 w2 w3"
-    assert chunks[0].unit_count == 3
-    assert chunks[0].ends_with_period is False
+    assert chunks == ["w1 w2 w3"]
 
 
 def test_chunk_greedy_sentence_packing():
     chunks = chunk_document("A b. C d. E f.", max_units=4)
-    assert [c.text for c in chunks] == ["A b. C d.", "E f."]
-    assert all(c.ends_with_period for c in chunks)
-    assert [c.unit_count for c in chunks] == [4, 2]
+    assert chunks == ["A b. C d.", "E f."]
 
 
 def test_chunk_never_exceeds_max_units():
     text = " ".join(f"w{i}" + ("." if i % 5 == 4 else "") for i in range(100))
     for c in chunk_document(text, max_units=12):
-        assert c.unit_count <= 12
+        assert len(split_words(c)) <= 12
 
 
 def test_chunk_oversized_sentence_is_force_split():
     text = " ".join(f"w{i}" for i in range(12)) + "."
     chunks = chunk_document(text, max_units=5)
-    assert [c.unit_count for c in chunks] == [5, 5, 2]
+    assert [len(split_words(c)) for c in chunks] == [5, 5, 2]
     # pieces of a split sentence don't end at a sentence boundary, except
     # the piece that happens to carry the final period
-    assert [c.ends_with_period for c in chunks] == [False, False, True]
+    assert [c.endswith(".") for c in chunks] == [False, False, True]
 
 
 def test_chunk_spans_reconstruct_text():
-    text = "The falcon glided. The meadow was still. A kettle whistled on the stove."
-    data = text.encode("utf-8")
-    for c in chunk_document(text, max_units=6):
-        start, end = c.span
-        assert data[start:end].decode("utf-8") == c.text
+    text = "The falcon glided.  The meadow\nwas still. A kettle whistled on the stove."
+    chunks = chunk_document(text, max_units=6)
+    assert chunks == ["The falcon glided.", "The meadow\nwas still.", "A kettle whistled on the stove."]
 
 
 def test_chunk_concatenation_preserves_words():
     text = " ".join(f"w{i}" + ("." if i % 7 == 6 else "") for i in range(40))
     chunks = chunk_document(text, max_units=9)
-    rebuilt = [w for c in chunks for w in split_words(c.text).words]
-    assert rebuilt == list(split_words(text).words)
+    rebuilt = [w for c in chunks for w in split_words(c)]
+    assert rebuilt == list(split_words(text))
 
 
 def test_chunk_empty_document():
@@ -114,7 +95,29 @@ def test_chunk_rejects_bad_max_units():
         chunk_document("a b", max_units=0)
 
 
-def test_chunk_type_is_frozen():
-    c = Chunk(text="a.", unit_count=1, ends_with_period=True, span=(0, 2))
-    with pytest.raises(AttributeError):
-        c.text = "b."
+_WORD = st.text(st.characters(blacklist_categories=("Z", "Cc")), min_size=1, max_size=6)
+_SENTENCES = st.lists(
+    st.tuples(_WORD, st.sampled_from(["", ".", "!", "?"]), st.sampled_from([" ", "  ", "\n", "\t ", "\u3000"])),
+    max_size=40,
+).map(lambda parts: "".join(w + end + gap for w, end, gap in parts))
+
+
+_DOCUMENTS = st.one_of(st.text(), _SENTENCES)
+
+
+@given(_DOCUMENTS, st.integers(1, 12))
+def test_chunks_are_disjoint_in_order_substrings_of_at_most_max_units_words(text, max_units):
+    pos = 0
+    for c in chunk_document(text, max_units):
+        start = text.index(c, pos)
+        # a chunk starts on a word, so only whitespace lies between chunks
+        assert text[pos:start].strip() == ""
+        assert c == c.strip() and 1 <= len(split_words(c)) <= max_units
+        pos = start + len(c)
+    assert text[pos:].strip() == ""
+
+
+@given(_DOCUMENTS, st.integers(1, 12))
+def test_chunk_words_concatenated_are_the_document_words(text, max_units):
+    chunks = chunk_document(text, max_units)
+    assert tuple(w for c in chunks for w in split_words(c)) == split_words(text)
