@@ -73,7 +73,8 @@ class _Parser(argparse.ArgumentParser):
 # ------------------------------------------------------------- run config
 
 # section -> key -> JSON kind of its value (a key of ``_util._KINDS``);
-# ModelConfig and TrainConfig check the model and train values themselves
+# ModelConfig and TrainConfig check the model and train values themselves,
+# all but null, which _settings would read as unset
 _SECTION_KEYS = {
     "provider": {"mock": "boolean", "base_url": "string", "model_name": "string",
                  "max_concurrency": "integer", "max_units": "integer"},
@@ -130,6 +131,10 @@ def load_config(path) -> RunConfig:
             )
         for name, item in value.items():
             kind = _SECTION_KEYS[key][name]
+            if kind is None and item is None:
+                raise ConfigValidationError(
+                    f"{key}.{name} must be given a value or left out, got null"
+                )
             if kind is not None and not _KINDS[kind](item):
                 raise ConfigValidationError(
                     f"{key}.{name} must be a {kind}, got {json.dumps(item)[:40]}"
@@ -605,3 +610,7 @@ def run_cli(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -5,7 +5,7 @@ from .adam import AdamState, adam_step, init_adam
 from .bundle import Model, new_model
 from .checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from .config import LOSS_VARIANTS, ModelConfig, TrainConfig
-from .losses import ce_grad_logits, ce_rows, loss_agnostic, loss_drop, loss_mask
+from .losses import ce_grad_logits, ce_rows
 from .network import backward_detailed, classify, encode, forward_loss
 from .params import (
     ModelParams,
@@ -13,7 +13,6 @@ from .params import (
     tensor_order,
     tensor_shapes,
     validate_params,
-    zeros_like_params,
 )
 from .tokenizer import TokenizedExample, tokenize_words, window_example
 from .training import EpochStats, TrainReport, prepare_examples, token_accuracy, train

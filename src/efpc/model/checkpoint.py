@@ -18,6 +18,7 @@ indistinguishable from each other and loudly detectable.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import asdict
@@ -25,7 +26,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .._util import write_atomic
-from ..errors import CheckpointError, ChecksumMismatch, FormatVersionMismatch
+from ..errors import CheckpointError, ChecksumMismatch, FormatVersionMismatch, ShapeMismatch
 from .bundle import Model
 from .config import ModelConfig
 from .params import ModelParams, tensor_order, tensor_shapes, validate_params
@@ -61,7 +62,10 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    """Read a checkpoint back; parameters come out float32."""
+    """Read a checkpoint back; parameters come out float32.
+
+    Anything that is not a checkpoint this build wrote, whatever its bytes,
+    raises CheckpointError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + _U32.size or not blob.startswith(MAGIC):
@@ -82,8 +86,10 @@ def load_checkpoint(path) -> Model:
     (header_len,) = _U32.unpack(take(_U32.size))
     try:
         header = json.loads(take(header_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long a number
         raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: malformed header (not a JSON object)")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatVersionMismatch(
@@ -95,7 +101,14 @@ def load_checkpoint(path) -> Model:
         words = header["vocab"]["words"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise CheckpointError(f"{path}: malformed header (vocab words must be a list of strings)")
     vocab = vocab_from_word_list(words)
+    if vocab.size != config.vocab_size:
+        raise CheckpointError(
+            f"{path}: malformed header (a vocabulary of {vocab.size} ids "
+            f"for vocab_size {config.vocab_size})"
+        )
 
     shapes = tensor_shapes(config)
     tensors: dict[str, np.ndarray] = {}
@@ -107,15 +120,18 @@ def load_checkpoint(path) -> Model:
         except ValueError as exc:
             raise CheckpointError(f"{path}: tensor {name} has a bad byte length") from exc
         expected = shapes[name]
-        if arr.size != int(np.prod(expected)):
+        if arr.size != math.prod(expected):
             raise CheckpointError(
                 f"{path}: tensor {name} holds {arr.size} values, "
-                f"expected {int(np.prod(expected))}"
+                f"expected {math.prod(expected)}"
             )
         tensors[name] = arr.reshape(expected).astype(np.float32)
     if pos != len(blob) - _U32.size:
         raise CheckpointError(f"{path}: trailing bytes after tensor data")
 
     params = ModelParams(tensors)
-    validate_params(params, config)
+    try:
+        validate_params(params, config)
+    except ShapeMismatch as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     return Model(config=config, vocab=vocab, params=params)

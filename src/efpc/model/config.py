@@ -33,6 +33,11 @@ class ModelConfig:
 
     def __post_init__(self):
         _check_types(self)
+        for name in ("embed_dim", "num_heads", "ffn_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.num_layers < 0:
+            raise ValueError("num_layers must not be negative")
         if self.vocab_size < 3:
             raise ValueError("vocab_size must cover the reserved ids")
         if self.embed_dim % self.num_heads != 0:

@@ -71,21 +71,6 @@ def ce_loss(variant: str, probs, labels, boundary: int) -> float:
     return _mean_ce(_check(probs, labels, boundary), row_labels, start)
 
 
-def loss_agnostic(probs, labels) -> float:
-    """Mean CE over all positions; no instruction prefix exists."""
-    return ce_loss("agnostic", probs, labels, 0)
-
-
-def loss_drop(probs, labels, boundary: int) -> float:
-    """Mean CE over every position, prefix positions labeled discard."""
-    return ce_loss("drop", probs, labels, boundary)
-
-
-def loss_mask(probs, labels, boundary: int) -> float:
-    """Mean CE over original positions only; prefix rows never contribute."""
-    return ce_loss("mask", probs, labels, boundary)
-
-
 def ce_grad_logits(
     probs: np.ndarray, labels: np.ndarray, start: int
 ) -> np.ndarray:

@@ -99,10 +99,6 @@ def init_params(config: ModelConfig, dtype=np.float32) -> ModelParams:
     return ModelParams(tensors)
 
 
-def zeros_like_params(params: ModelParams) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.tensors.items()}
-
-
 def validate_params(params: ModelParams, config: ModelConfig) -> None:
     """Raise ShapeMismatch unless every tensor is present, shaped, finite."""
     shapes = tensor_shapes(config)

@@ -6,6 +6,13 @@ averaged, and all arithmetic but the float64 head (``network.classify``)
 stays in the parameter dtype. Two runs with the same model, data, and
 config produce identical parameters and reports.
 
+Adam steps only the ``token_emb`` rows some batch of the run has touched.
+A row no batch has touched has a zero gradient and zero moments, and Adam
+returns such a row bit for bit as it was (m = v = 0, step 0 / (0 + eps)),
+so leaving it out changes no bit while the step's cost follows the rows
+the data uses rather than the vocabulary size. The touched rows keep
+their moments in compact tables, in the order batches first touched them.
+
 Training stops with NumericalDivergence at the first example whose loss,
 or batch whose gradient, is not finite, rather than carrying NaNs on to
 the end.
@@ -26,11 +33,12 @@ import numpy as np
 
 from ..align import LabeledExample
 from ..errors import EmptyDataset, NumericalDivergence
-from .adam import adam_step, init_adam
+from .adam import AdamState, adam_step, init_adam
 from .bundle import Model
 from .config import TrainConfig
 from .losses import PRESERVE_COL
 from .network import backward_detailed, classify, encode
+from .params import ModelParams
 from .tokenizer import TokenizedExample, window_example
 
 logger = logging.getLogger(__name__)
@@ -94,8 +102,17 @@ def train(
         raise EmptyDataset("dataset reduced to zero non-empty windows")
 
     rng = random.Random(config.seed)
-    params = model.params
-    state = init_adam(params)
+    # the run's own copy of token_emb, written in place as rows are stepped;
+    # the caller's parameters are never modified
+    emb = model.params["token_emb"].copy()
+    params = ModelParams({**model.params.tensors, "token_emb": emb})
+    token_ids = [np.asarray(ex.token_ids) for ex in examples]
+    seen = np.zeros(0, dtype=np.intp)  # rows touched so far, first-touched order
+    is_seen = np.zeros(len(emb), dtype=bool)
+    state = init_adam(ModelParams({**params.tensors, "token_emb": emb[seen]}))
+    # one table for the run: only the batch's token_emb rows and the small
+    # tensors are written, and they are zeroed again after each step
+    grads = {k: np.zeros_like(t) for k, t in params.tensors.items()}
     stats: list[EpochStats] = []
 
     for epoch in range(config.epochs):
@@ -105,10 +122,23 @@ def train(
         correct = 0
         total = 0
         for batch_no, lo in enumerate(range(0, len(order), config.batch_size)):
-            batch = [examples[i] for i in order[lo : lo + config.batch_size]]
-            grads = None
+            picked = order[lo : lo + config.batch_size]
+            batch = [examples[i] for i in picked]
+            batch_ids = np.concatenate([token_ids[i] for i in picked])
+            in_batch = np.zeros_like(is_seen)
+            in_batch[batch_ids] = True
+            new = np.flatnonzero(in_batch & ~is_seen)
+            if new.size:
+                is_seen[new] = True
+                seen = np.concatenate([seen, new])
+                zeros = np.zeros((new.size, emb.shape[1]), emb.dtype)
+                state = AdamState(
+                    m={**state.m, "token_emb": np.concatenate([state.m["token_emb"], zeros])},
+                    v={**state.v, "token_emb": np.concatenate([state.v["token_emb"], zeros])},
+                    step=state.step,
+                )
             for ex in batch:
-                loss, grads, probs = backward_detailed(
+                loss, _, probs = backward_detailed(
                     params, model.config, ex, config.loss_variant, grads
                 )
                 if not math.isfinite(loss):
@@ -119,13 +149,27 @@ def train(
                 c, t = _batch_accuracy(probs, ex)
                 correct += c
                 total += t
-            for k, g in grads.items():
+            # rows never touched are exactly zero, so checking and
+            # averaging the touched ones covers the whole table
+            step_grads = {**grads, "token_emb": grads["token_emb"][seen]}
+            for k, g in step_grads.items():
                 if not np.isfinite(g).all():
                     raise NumericalDivergence(
                         f"epoch {epoch} batch {batch_no}: {k} gradient is not finite"
                     )
                 g /= len(batch)
-            params, state = adam_step(params, grads, state, config)
+            stepped, state = adam_step(
+                ModelParams({**params.tensors, "token_emb": emb[seen]}),
+                step_grads,
+                state,
+                config,
+            )
+            emb[seen] = stepped["token_emb"]
+            params = ModelParams({**stepped.tensors, "token_emb": emb})
+            grads["token_emb"][batch_ids] = 0
+            for k, g in grads.items():
+                if k != "token_emb":
+                    g.fill(0)
         stats.append(
             EpochStats(
                 epoch=epoch,

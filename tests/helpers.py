@@ -25,6 +25,7 @@ from efpc.model import (
     tensor_shapes,
     vocab_from_words,
 )
+from efpc.model.losses import ce_loss
 
 PARITY_POOL = (
     "amber", "basalt", "cedar", "delta", "ember", "fjord", "garnet", "harbor",
@@ -109,6 +110,25 @@ def rigged_model(word_scores: dict[str, float], max_seq_len: int = 16) -> Model:
         tensors["token_emb"][vocab.encode_word(word), 0] = score
     tensors["cls_w"][0, 0] = 1.0  # preserve logit = score; discard logit = 0
     return Model(config=config, vocab=vocab, params=ModelParams(tensors))
+
+
+def loss_agnostic(probs, labels) -> float:
+    """Mean CE over all positions; no instruction prefix exists."""
+    return ce_loss("agnostic", probs, labels, 0)
+
+
+def loss_drop(probs, labels, boundary: int) -> float:
+    """Mean CE over every position, prefix positions labeled discard."""
+    return ce_loss("drop", probs, labels, boundary)
+
+
+def loss_mask(probs, labels, boundary: int) -> float:
+    """Mean CE over original positions only; prefix rows never contribute."""
+    return ce_loss("mask", probs, labels, boundary)
+
+
+def zeros_like_params(params: ModelParams) -> dict[str, np.ndarray]:
+    return {k: np.zeros_like(v) for k, v in params.tensors.items()}
 
 
 def max_grad_rel_err(

@@ -22,9 +22,6 @@ from efpc.evaluation import bleu, rouge_l, rouge_n, token_f1
 from efpc.model import (
     ModelConfig,
     init_params,
-    loss_agnostic,
-    loss_drop,
-    loss_mask,
     token_accuracy,
     tokenize_words,
     train,
@@ -35,6 +32,9 @@ from efpc.evaluation import data_efficiency_sweep
 from helpers import (
     RATIO_DOCS,
     fast_train_config,
+    loss_agnostic,
+    loss_drop,
+    loss_mask,
     max_grad_rel_err,
     parity_examples,
     rigged_model,

@@ -8,8 +8,9 @@ from efpc.model import (
     adam_step,
     init_adam,
     init_params,
-    zeros_like_params,
 )
+
+from helpers import zeros_like_params
 
 CFG = ModelConfig(vocab_size=8, embed_dim=8, num_layers=1, num_heads=2,
                   ffn_dim=16, max_seq_len=8, seed=0)

@@ -1,9 +1,12 @@
 import json
 import struct
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from efpc.errors import CheckpointError, ChecksumMismatch, FormatVersionMismatch
 from efpc.model import MAGIC, load_checkpoint, save_checkpoint, train
@@ -114,3 +117,144 @@ def test_trailing_bytes_are_rejected(trained_model, tmp_path):
     path.write_bytes(blob)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_header_that_is_not_an_object_is_refused(tmp_path):
+    path = tmp_path / "list.ckpt"
+    path.write_bytes(_with_header([]))
+    with pytest.raises(CheckpointError, match="not a JSON object"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("words", [5, "abc", None, ["a", 5], [["a"]], {"a": 1}])
+def test_vocab_words_that_are_not_a_list_of_strings_are_refused(trained_model, tmp_path,
+                                                               words):
+    path = tmp_path / "words.ckpt"
+    path.write_bytes(_with_header({"format_version": 1,
+                                   "model_config": asdict(trained_model.config),
+                                   "vocab": {"words": words}}))
+    with pytest.raises(CheckpointError, match="list of strings"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header", [
+    "[" * 100_000 + "]" * 100_000,  # nested past the parser's recursion limit
+    '{"format_version": ' + "1" * 5000 + "}",  # past Python's integer digit limit
+], ids=["deep", "long-number"])
+def test_header_json_the_parser_refuses_is_a_checkpoint_error(tmp_path, header):
+    body = header.encode()
+    blob = MAGIC + struct.pack("<I", len(body)) + body
+    path = tmp_path / "deep.ckpt"
+    path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def _split(blob: bytes) -> tuple[dict, bytes]:
+    """Header object and the tensor section of a saved checkpoint."""
+    (n,) = struct.unpack("<I", blob[8:12])
+    return json.loads(blob[12 : 12 + n]), blob[12 + n : -4]
+
+
+def _seal(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@st.composite
+def _mutations(draw, size):
+    kind = draw(st.sampled_from(["flip", "truncate", "extend"]))
+    if kind == "flip":
+        return kind, draw(st.integers(0, size - 1)), draw(st.integers(1, 255))
+    if kind == "truncate":
+        return kind, draw(st.integers(0, size - 1)), None
+    return kind, None, draw(st.binary(min_size=1, max_size=64))
+
+
+def _mutate(blob: bytes, mutation) -> bytes:
+    kind, at, arg = mutation
+    if kind == "flip":
+        out = bytearray(blob)
+        out[at] ^= arg
+        return bytes(out)
+    if kind == "truncate":
+        return blob[:at]
+    return blob + arg
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), reseal=st.booleans())
+def test_any_mutated_checkpoint_raises_only_checkpoint_errors(trained_model, tmp_path, data,
+                                                              reseal):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(trained_model, path)
+    blob = path.read_bytes()
+    if not reseal:
+        # the stored checksum no longer matches, so every load must fail
+        path.write_bytes(_mutate(blob, data.draw(_mutations(len(blob)))))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        return
+    # mutate the body and recompute the checksum: the parser itself must
+    # refuse what it cannot read; a flipped tensor byte may still load
+    body = _mutate(blob[:-4], data.draw(_mutations(len(blob) - 4)))
+    path.write_bytes(_seal(body))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 300) | st.floats(allow_nan=False)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+_FIELD_VALUES = st.integers(-3, 40) | st.sampled_from([None, 2.5, "8", True, [4]])
+
+
+@st.composite
+def _crafted_headers(draw, header):
+    header = json.loads(json.dumps(header))
+    config, words = header["model_config"], header["vocab"]["words"]
+    edit = draw(st.sampled_from(["config value", "config key", "words", "word", "vocab",
+                                 "version", "section", "any"]))
+    if edit == "config value":
+        config[draw(st.sampled_from(sorted(config)))] = draw(_FIELD_VALUES)
+    elif edit == "config key":
+        key = draw(st.sampled_from(sorted(config) + ["extra"]))
+        if key in config:
+            del config[key]
+        else:
+            config[key] = 1
+    elif edit == "words":
+        header["vocab"]["words"] = draw(_JSON)
+    elif edit == "word":
+        words[draw(st.integers(0, len(words) - 1))] = draw(_JSON)
+    elif edit == "vocab":
+        header["vocab"] = draw(_JSON)
+    elif edit == "version":
+        header["format_version"] = draw(_JSON)
+    elif edit == "section":
+        del header[draw(st.sampled_from(sorted(header)))]
+    else:
+        header = draw(_JSON)
+    return header
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_crafted_header_raises_only_checkpoint_errors(trained_model, tmp_path, data):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(trained_model, path)
+    header, tensors = _split(path.read_bytes())
+    crafted = json.dumps(data.draw(_crafted_headers(header))).encode()
+    path.write_bytes(_seal(MAGIC + struct.pack("<I", len(crafted)) + crafted + tensors))
+    try:
+        loaded = load_checkpoint(path)
+    except CheckpointError:
+        return
+    # what loads is a model whose vocabulary and tensors fit its config
+    assert loaded.vocab.size == loaded.config.vocab_size
+    assert loaded.params["token_emb"].shape[0] == loaded.config.vocab_size

@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -438,6 +442,23 @@ def test_wrong_type_config_values_exit_one_naming_the_key(pipeline, tmp_path, ca
             assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section in ("model", "train") for key in sorted(_SECTION_KEYS[section])
+])
+def test_null_model_or_train_value_exits_one_naming_section_and_key(pipeline, tmp_path, capsys,
+                                                                   section, key):
+    *_, labeled, _ = pipeline
+    out = tmp_path / "m.ckpt"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: None}}))
+    assert run_cli(["train", "--config", str(cfg), "--data", str(labeled),
+                    "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {section}.{key} must be "), err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # values of another JSON kind than each provider, compress and paths key takes
 _WRONG_KIND_VALUES = {
     "boolean": ["no", 0, None],
@@ -504,6 +525,14 @@ def test_directory_as_file_argument_exits_one(pipeline, tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_zero_heads_exits_one(pipeline, tmp_path, capsys):
+    *_, labeled, _ = pipeline
+    out = tmp_path / "m.ckpt"
+    assert run_cli(["train", "--data", str(labeled), "--out", str(out), "--heads", "0"]) == 1
+    assert capsys.readouterr().err == "error: num_heads must be at least 1\n"
+    assert not out.exists()
+
+
 def test_bad_config_file_exits_one(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{nope")
@@ -513,3 +542,21 @@ def test_bad_config_file_exits_one(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     assert "distill" in capsys.readouterr().out
+
+
+def _run_module(*argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "efpc.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_point_runs_the_cli():
+    done = _run_module("--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: ")
+    assert "distill" in done.stdout
+    done = _run_module("train", "--no-such-flag")
+    assert done.returncode == 1
+    assert "--no-such-flag" in done.stderr

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from efpc import compressor
 from efpc.compressor import (
     CompressionFailure,
     CompressionRequest,
@@ -104,6 +109,29 @@ def test_keep_sets_nest_as_ratio_grows(model):
         current = set(result.kept_indices)
         assert previous <= current
         previous = current
+
+
+# a few fixed levels make ties common; any float in [0, 1] fills the rest
+_PROBS = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                  min_size=1, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(probs=_PROBS, taus=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)))
+def test_keep_sets_nest_for_any_probabilities_and_ratios(model, probs, taus):
+    low, high = sorted(taus)
+    text = " ".join(f"w{i}" for i in range(len(probs)))
+    with mock.patch.object(compressor, "score_words", return_value=np.array(probs)):
+        small = compress(model, CompressionRequest(original=text, keep_ratio=low))
+        large = compress(model, CompressionRequest(original=text, keep_ratio=high))
+    assert small.n_kept == target_keep_count(len(probs), low)
+    assert large.n_kept == target_keep_count(len(probs), high)
+    assert set(small.kept_indices) <= set(large.kept_indices)
+    # every kept word scores above every dropped one, or ties it and comes first
+    dropped = set(range(len(probs))) - set(small.kept_indices)
+    for i in small.kept_indices:
+        for j in dropped:
+            assert probs[i] > probs[j] or (probs[i] == probs[j] and i < j)
 
 
 def test_unit_budget_converts_to_ratio(model):

@@ -163,7 +163,7 @@ def test_batch_gradient_table_is_the_sum_of_example_gradients(case):
     original = training.adam_step
 
     def spy(params, grads, state, cfg):
-        seen.append({k: g * len(windows) for k, g in grads.items()})
+        seen.append((params["token_emb"], {k: g * len(windows) for k, g in grads.items()}))
         return original(params, grads, state, cfg)
 
     training.adam_step = spy
@@ -173,5 +173,15 @@ def test_batch_gradient_table_is_the_sum_of_example_gradients(case):
     finally:
         training.adam_step = original
     assert len(seen) == 1
+    emb_rows, got = seen[0]
+    # Adam gets the token_emb rows the batch touched; find each one's id by
+    # its value in the untrained table, whose random rows are all distinct
+    emb = model.params["token_emb"]
+    ids = [int(np.flatnonzero((emb == row).all(axis=1))[0]) for row in emb_rows]
+    assert len(set(ids)) == len(ids)
+    expected_emb = expected.pop("token_emb")
+    np.testing.assert_allclose(got.pop("token_emb"), expected_emb[ids], rtol=1e-6,
+                               atol=1e-12, err_msg="token_emb")
+    assert not np.delete(expected_emb, ids, axis=0).any()
     for k, want in expected.items():
-        np.testing.assert_allclose(seen[0][k], want, rtol=1e-6, atol=1e-12, err_msg=k)
+        np.testing.assert_allclose(got[k], want, rtol=1e-6, atol=1e-12, err_msg=k)

@@ -15,11 +15,10 @@ from efpc.model import (
     ce_rows,
     forward_loss,
     init_params,
-    loss_agnostic,
-    loss_drop,
-    loss_mask,
 )
 from efpc.model.losses import ce_loss
+
+from helpers import loss_agnostic, loss_drop, loss_mask
 
 LN2 = math.log(2.0)
 

@@ -148,6 +148,20 @@ def test_model_config_validation():
         ModelConfig(vocab_size=20, max_seq_len=4)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("embed_dim", 0), ("embed_dim", -4), ("num_heads", 0), ("num_heads", -2),
+    ("ffn_dim", 0), ("num_layers", -1),
+])
+def test_model_config_rejects_sizes_below_one_naming_the_field(name, value):
+    # num_heads 0 divided by zero, and negative sizes passed as shapes
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        ModelConfig(vocab_size=20, **{name: value})
+
+
+def test_model_config_allows_zero_layers():
+    assert ModelConfig(vocab_size=20, num_layers=0).num_layers == 0
+
+
 def _fields_and_wrong_values():
     cases = []
     for config_class in (ModelConfig, TrainConfig):

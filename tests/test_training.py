@@ -1,9 +1,26 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efpc.align import LabeledExample
 from efpc.errors import EmptyDataset, NumericalDivergence
-from efpc.model import TrainConfig, prepare_examples, token_accuracy, train, training
+from efpc.model import (
+    Model,
+    ModelConfig,
+    TrainConfig,
+    adam_step,
+    backward_detailed,
+    init_adam,
+    init_params,
+    prepare_examples,
+    token_accuracy,
+    train,
+    training,
+    vocab_from_words,
+)
 
 from helpers import (
     fast_train_config,
@@ -142,3 +159,113 @@ def _counting(fn, calls):
         calls.append(1)
         return fn(*args)
     return counted
+
+
+def _dense_train(model, dataset, config):
+    """The training loop before the row rule: a fresh dense gradient table
+    per batch, checked and averaged whole, and Adam over every row."""
+    examples = prepare_examples(model, dataset, config.loss_variant)
+    rng = random.Random(config.seed)
+    params = model.params
+    state = init_adam(params)
+    losses = []
+    for _ in range(config.epochs):
+        order = list(range(len(examples)))
+        rng.shuffle(order)
+        loss_sum = 0.0
+        for lo in range(0, len(order), config.batch_size):
+            batch = [examples[i] for i in order[lo : lo + config.batch_size]]
+            grads = {k: np.zeros_like(t) for k, t in params.tensors.items()}
+            for ex in batch:
+                loss, grads, _ = backward_detailed(params, model.config, ex,
+                                                   config.loss_variant, grads)
+                loss_sum += loss
+            for g in grads.values():
+                assert np.isfinite(g).all()
+                g /= len(batch)
+            params, state = adam_step(params, grads, state, config)
+        losses.append(loss_sum / len(examples))
+    return params, losses
+
+
+USED = ("ant", "bee", "cow", "dog", "eel", "fox")
+UNUSED = tuple(f"never{i}" for i in range(12))
+
+
+@st.composite
+def _runs(draw):
+    variant = draw(st.sampled_from(["agnostic", "drop", "mask"]))
+    examples = []
+    for _ in range(draw(st.integers(1, 6))):
+        n_instr = draw(st.integers(0, 2))
+        n_words = draw(st.integers(1, 12))
+        words = tuple(draw(st.lists(st.sampled_from(USED), min_size=n_instr + n_words,
+                                    max_size=n_instr + n_words)))
+        labels = (0,) * n_instr + tuple(draw(st.lists(st.integers(0, 1), min_size=n_words,
+                                                      max_size=n_words)))
+        examples.append(LabeledExample(words=words, labels=labels, boundary_m=n_instr))
+    config = TrainConfig(learning_rate=draw(st.sampled_from([1e-3, 3e-2])),
+                         batch_size=draw(st.integers(1, 4)), epochs=draw(st.integers(1, 3)),
+                         loss_variant=variant, seed=draw(st.integers(0, 9)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return examples, config, dtype, draw(st.integers(0, 9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_runs())
+def test_train_matches_the_dense_loop_bit_for_bit(run):
+    dataset, config, dtype, seed = run
+    # the unused words get rows that no example touches
+    vocab = vocab_from_words(USED + UNUSED)
+    model_config = ModelConfig(vocab_size=vocab.size, embed_dim=8, num_layers=2,
+                               num_heads=2, ffn_dim=16, max_seq_len=8, seed=seed)
+    model = Model(config=model_config, vocab=vocab,
+                  params=init_params(model_config, dtype=dtype))
+    want_params, want_losses = _dense_train(model, dataset, config)
+    trained, report = train(model, dataset, config)
+    assert [e.loss for e in report.epochs] == want_losses
+    assert list(trained.params.tensors) == list(want_params.tensors)
+    for name, want in want_params.tensors.items():
+        got = trained.params[name]
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+def test_train_leaves_the_callers_parameters_untouched():
+    data = parity_examples(12, 2)
+    model = small_model(data, embed_dim=16, num_layers=1, num_heads=2, ffn_dim=32)
+    before = {k: t.copy() for k, t in model.params.tensors.items()}
+    trained, _ = train(model, data, fast_train_config(epochs=2, batch_size=4))
+    for name, tensor in before.items():
+        assert np.array_equal(model.params[name], tensor), name
+    assert not np.array_equal(trained.params["token_emb"], before["token_emb"])
+
+
+def test_adam_sees_only_the_embedding_rows_the_data_touches(monkeypatch):
+    data = [LabeledExample(words=("ant", "bee", "cow", "bee", "dog", "eel"),
+                           labels=(0, 1, 1, 0, 1, 0), boundary_m=0)] * 3
+    vocab = vocab_from_words(USED[:5] + tuple(f"type{i}" for i in range(1000)))
+    config = ModelConfig(vocab_size=vocab.size, embed_dim=8, num_layers=1, num_heads=2,
+                         ffn_dim=16, max_seq_len=8, seed=1)
+    model = Model(config=config, vocab=vocab, params=init_params(config))
+    touched = np.unique(np.concatenate(
+        [ex.token_ids for ex in prepare_examples(model, data, "agnostic")]))
+    assert touched.size == 5
+    rows = []
+    original = training.adam_step
+
+    def spy(params, grads, state, cfg):
+        rows.append((params["token_emb"].shape[0], grads["token_emb"].shape[0],
+                     state.m["token_emb"].shape[0], state.v["token_emb"].shape[0]))
+        return original(params, grads, state, cfg)
+
+    monkeypatch.setattr(training, "adam_step", spy)
+    trained, _ = train(model, data, TrainConfig(learning_rate=1e-2, batch_size=2, epochs=2,
+                                                loss_variant="agnostic"))
+    assert len(rows) == 4
+    assert all(max(r) <= touched.size for r in rows)
+    untouched = np.setdiff1d(np.arange(vocab.size), touched)
+    assert np.array_equal(trained.params["token_emb"][untouched],
+                          model.params["token_emb"][untouched])
+    assert not np.array_equal(trained.params["token_emb"][touched],
+                              model.params["token_emb"][touched])
