@@ -6,12 +6,13 @@ averaged, and all arithmetic but the float64 head (``network.classify``)
 stays in the parameter dtype. Two runs with the same model, data, and
 config produce identical parameters and reports.
 
-Adam steps only the ``token_emb`` rows some batch of the run has touched.
-A row no batch has touched has a zero gradient and zero moments, and Adam
-returns such a row bit for bit as it was (m = v = 0, step 0 / (0 + eps)),
-so leaving it out changes no bit while the step's cost follows the rows
-the data uses rather than the vocabulary size. The touched rows keep
-their moments in compact tables, in the order batches first touched them.
+Adam steps only the ``token_emb`` rows the run's examples use, gathered
+in id order into compact tables with their moments. A row no example uses
+has a zero gradient and zero moments, and Adam returns such a row bit for
+bit as it was (m = v = 0, step 0 / (0 + eps)), so leaving it out changes
+no bit while the step's cost follows the rows the data uses rather than
+the vocabulary size. The same holds for a used row before its first
+batch, so stepping every used row from the start changes no bit either.
 
 Training stops with NumericalDivergence at the first example whose loss,
 or batch whose gradient, is not finite, rather than carrying NaNs on to
@@ -33,7 +34,7 @@ import numpy as np
 
 from ..align import LabeledExample
 from ..errors import EmptyDataset, NumericalDivergence
-from .adam import AdamState, adam_step, init_adam
+from .adam import adam_step, init_adam
 from .bundle import Model
 from .config import TrainConfig
 from .losses import PRESERVE_COL
@@ -106,11 +107,9 @@ def train(
     # the caller's parameters are never modified
     emb = model.params["token_emb"].copy()
     params = ModelParams({**model.params.tensors, "token_emb": emb})
-    token_ids = [np.asarray(ex.token_ids) for ex in examples]
-    seen = np.zeros(0, dtype=np.intp)  # rows touched so far, first-touched order
-    is_seen = np.zeros(len(emb), dtype=bool)
-    state = init_adam(ModelParams({**params.tensors, "token_emb": emb[seen]}))
-    # one table for the run: only the batch's token_emb rows and the small
+    rows = np.unique(np.concatenate([ex.token_ids for ex in examples]))
+    state = init_adam(ModelParams({**params.tensors, "token_emb": emb[rows]}))
+    # one table for the run: only the used token_emb rows and the small
     # tensors are written, and they are zeroed again after each step
     grads = {k: np.zeros_like(t) for k, t in params.tensors.items()}
     stats: list[EpochStats] = []
@@ -122,21 +121,7 @@ def train(
         correct = 0
         total = 0
         for batch_no, lo in enumerate(range(0, len(order), config.batch_size)):
-            picked = order[lo : lo + config.batch_size]
-            batch = [examples[i] for i in picked]
-            batch_ids = np.concatenate([token_ids[i] for i in picked])
-            in_batch = np.zeros_like(is_seen)
-            in_batch[batch_ids] = True
-            new = np.flatnonzero(in_batch & ~is_seen)
-            if new.size:
-                is_seen[new] = True
-                seen = np.concatenate([seen, new])
-                zeros = np.zeros((new.size, emb.shape[1]), emb.dtype)
-                state = AdamState(
-                    m={**state.m, "token_emb": np.concatenate([state.m["token_emb"], zeros])},
-                    v={**state.v, "token_emb": np.concatenate([state.v["token_emb"], zeros])},
-                    step=state.step,
-                )
+            batch = [examples[i] for i in order[lo : lo + config.batch_size]]
             for ex in batch:
                 loss, _, probs = backward_detailed(
                     params, model.config, ex, config.loss_variant, grads
@@ -149,9 +134,9 @@ def train(
                 c, t = _batch_accuracy(probs, ex)
                 correct += c
                 total += t
-            # rows never touched are exactly zero, so checking and
-            # averaging the touched ones covers the whole table
-            step_grads = {**grads, "token_emb": grads["token_emb"][seen]}
+            # rows no example uses are exactly zero, so checking and
+            # averaging the used ones covers the whole table
+            step_grads = {**grads, "token_emb": grads["token_emb"][rows]}
             for k, g in step_grads.items():
                 if not np.isfinite(g).all():
                     raise NumericalDivergence(
@@ -159,16 +144,17 @@ def train(
                     )
                 g /= len(batch)
             stepped, state = adam_step(
-                ModelParams({**params.tensors, "token_emb": emb[seen]}),
+                ModelParams({**params.tensors, "token_emb": emb[rows]}),
                 step_grads,
                 state,
                 config,
             )
-            emb[seen] = stepped["token_emb"]
+            emb[rows] = stepped["token_emb"]
             params = ModelParams({**stepped.tensors, "token_emb": emb})
-            grads["token_emb"][batch_ids] = 0
             for k, g in grads.items():
-                if k != "token_emb":
+                if k == "token_emb":
+                    g[rows] = 0
+                else:
                     g.fill(0)
         stats.append(
             EpochStats(

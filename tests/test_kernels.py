@@ -174,7 +174,7 @@ def test_batch_gradient_table_is_the_sum_of_example_gradients(case):
         training.adam_step = original
     assert len(seen) == 1
     emb_rows, got = seen[0]
-    # Adam gets the token_emb rows the batch touched; find each one's id by
+    # Adam gets the token_emb rows the examples use; find each one's id by
     # its value in the untrained table, whose random rows are all distinct
     emb = model.params["token_emb"]
     ids = [int(np.flatnonzero((emb == row).all(axis=1))[0]) for row in emb_rows]
