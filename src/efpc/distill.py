@@ -56,7 +56,6 @@ class LlmProvider(Protocol):
     """Minimal chat-completion contract used by the distillation driver."""
 
     provider_id: str
-    request_timeout: float
 
     def complete(self, messages: list[dict[str, str]]) -> str: ...
 
@@ -130,9 +129,7 @@ class MockProvider:
     are always an in-order subset of the input words.
     """
 
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS
     provider_id: str = "mock"
-    request_timeout: float = 0.0
 
     def complete(self, messages: list[dict[str, str]]) -> str:
         instruction, text = _parse_request(messages[-1]["content"])
@@ -140,7 +137,7 @@ class MockProvider:
         ranges = sentence_ranges(words)
         if instruction.strip():
             terms = {normalize_word(w) for w in instruction.split()}
-            terms -= self.stopwords
+            terms -= DEFAULT_STOPWORDS
             terms.discard("")
             relevant = [
                 (s, e)
@@ -153,7 +150,7 @@ class MockProvider:
             w
             for s, e in ranges
             for w in words[s:e]
-            if normalize_word(w) not in self.stopwords
+            if normalize_word(w) not in DEFAULT_STOPWORDS
         ]
         return " ".join(kept)
 

@@ -167,15 +167,6 @@ class MetricsReport:
     n_failed: int = 0
     failures: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "metrics": dict(self.metrics),
-            "per_example": list(self.per_example),
-            "n_scored": self.n_scored,
-            "n_failed": self.n_failed,
-            "failures": list(self.failures),
-        }
-
 
 ANSWER_PROMPT = (
     "Answer the question using only the context.\n\n"
@@ -194,7 +185,6 @@ class ContextAnswerTarget:
 
     max_words: int = 8
     provider_id: str = "context-answer"
-    request_timeout: float = 0.0
 
     def complete(self, messages: list[dict[str, str]]) -> str:
         content = messages[-1]["content"]

@@ -29,7 +29,7 @@ from .._util import write_atomic
 from ..errors import CheckpointError, ChecksumMismatch, FormatVersionMismatch, ShapeMismatch
 from .bundle import Model
 from .config import ModelConfig
-from .params import ModelParams, tensor_order, tensor_shapes, validate_params
+from .params import ModelParams, tensor_count, tensor_order, tensor_shapes, validate_params
 from .vocab import vocab_from_word_list
 
 MAGIC = b"EFPCKPT1"
@@ -110,16 +110,23 @@ def load_checkpoint(path) -> Model:
             f"for vocab_size {config.vocab_size})"
         )
 
-    shapes = tensor_shapes(config)
+    # every tensor record holds at least its u32 length, so a header that
+    # asks for more records than the bytes left can hold is refused before
+    # any of them is named
+    records, left = tensor_count(config), len(blob) - _U32.size - pos
+    if records * _U32.size > left:
+        raise CheckpointError(
+            f"{path}: malformed header (num_layers {config.num_layers} needs "
+            f"{records} tensor records, more than {left} bytes can hold)"
+        )
     tensors: dict[str, np.ndarray] = {}
-    for name in tensor_order(config):
+    for name, expected in tensor_shapes(config).items():
         (byte_len,) = _U32.unpack(take(_U32.size))
         raw = take(byte_len)
         try:
             arr = np.frombuffer(raw, dtype="<f4")
         except ValueError as exc:
             raise CheckpointError(f"{path}: tensor {name} has a bad byte length") from exc
-        expected = shapes[name]
         if arr.size != math.prod(expected):
             raise CheckpointError(
                 f"{path}: tensor {name} holds {arr.size} values, "

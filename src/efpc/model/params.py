@@ -13,53 +13,49 @@ import numpy as np
 from ..errors import ShapeMismatch
 from .config import ModelConfig
 
-_LAYER_TENSORS = (
-    "ln1_gamma",
-    "ln1_beta",
-    "wq",
-    "wk",
-    "wv",
-    "wo",
-    "ln2_gamma",
-    "ln2_beta",
-    "w1",
-    "w2",
-)
 
-
-def tensor_order(config: ModelConfig) -> tuple[str, ...]:
-    """Canonical tensor names: embeddings, layers in order, classifier."""
-    names = ["token_emb", "pos_emb"]
-    for i in range(config.num_layers):
-        names.extend(f"layer{i}.{t}" for t in _LAYER_TENSORS)
-    names.extend(["cls_w", "cls_b"])
-    return tuple(names)
+def _layout(config: ModelConfig) -> tuple[dict[str, tuple[int, ...]], ...]:
+    """Shapes of the tensors before the layers, of one layer, and after
+    the layers, each in storage order."""
+    d, f = config.embed_dim, config.ffn_dim
+    return (
+        {"token_emb": (config.vocab_size, d), "pos_emb": (config.max_seq_len, d)},
+        {
+            "ln1_gamma": (d,),
+            "ln1_beta": (d,),
+            "wq": (d, d),
+            "wk": (d, d),
+            "wv": (d, d),
+            "wo": (d, d),
+            "ln2_gamma": (d,),
+            "ln2_beta": (d,),
+            "w1": (d, f),
+            "w2": (f, d),
+        },
+        {"cls_w": (2, d), "cls_b": (2,)},
+    )
 
 
 def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    d, f = config.embed_dim, config.ffn_dim
-    shapes: dict[str, tuple[int, ...]] = {
-        "token_emb": (config.vocab_size, d),
-        "pos_emb": (config.max_seq_len, d),
-        "cls_w": (2, d),
-        "cls_b": (2,),
-    }
-    per_layer = {
-        "ln1_gamma": (d,),
-        "ln1_beta": (d,),
-        "wq": (d, d),
-        "wk": (d, d),
-        "wv": (d, d),
-        "wo": (d, d),
-        "ln2_gamma": (d,),
-        "ln2_beta": (d,),
-        "w1": (d, f),
-        "w2": (f, d),
-    }
+    """Every tensor's shape, keyed in storage order: embeddings, layers in
+    order, classifier."""
+    before, layer, after = _layout(config)
+    shapes = dict(before)
     for i in range(config.num_layers):
-        for t, shape in per_layer.items():
-            shapes[f"layer{i}.{t}"] = shape
+        shapes.update((f"layer{i}.{t}", shape) for t, shape in layer.items())
+    shapes.update(after)
     return shapes
+
+
+def tensor_order(config: ModelConfig) -> tuple[str, ...]:
+    """Canonical tensor names, in storage order."""
+    return tuple(tensor_shapes(config))
+
+
+def tensor_count(config: ModelConfig) -> int:
+    """``len(tensor_order(config))``, without building the names."""
+    before, layer, after = _layout(config)
+    return len(before) + config.num_layers * len(layer) + len(after)
 
 
 @dataclass(frozen=True)
@@ -75,9 +71,6 @@ class ModelParams:
     def dtype(self) -> np.dtype:
         return self.tensors["token_emb"].dtype
 
-    def astype(self, dtype) -> ModelParams:
-        return ModelParams({k: v.astype(dtype) for k, v in self.tensors.items()})
-
     def parameter_count(self) -> int:
         return sum(v.size for v in self.tensors.values())
 
@@ -85,10 +78,8 @@ class ModelParams:
 def init_params(config: ModelConfig, dtype=np.float32) -> ModelParams:
     """Gaussian init (std 0.02) for projections/embeddings, identity LN."""
     rng = np.random.default_rng(config.seed)
-    shapes = tensor_shapes(config)
     tensors: dict[str, np.ndarray] = {}
-    for name in tensor_order(config):
-        shape = shapes[name]
+    for name, shape in tensor_shapes(config).items():
         if name.endswith(("ln1_gamma", "ln2_gamma")):
             arr = np.ones(shape)
         elif name.endswith(("ln1_beta", "ln2_beta")) or name == "cls_b":
@@ -102,14 +93,11 @@ def init_params(config: ModelConfig, dtype=np.float32) -> ModelParams:
 def validate_params(params: ModelParams, config: ModelConfig) -> None:
     """Raise ShapeMismatch unless every tensor is present, shaped, finite."""
     shapes = tensor_shapes(config)
-    order = tensor_order(config)
-    if set(params.tensors) != set(order):
+    if set(params.tensors) != set(shapes):
         raise ShapeMismatch("parameter table does not match the configuration")
-    for name in order:
+    for name, shape in shapes.items():
         arr = params.tensors[name]
-        if arr.shape != shapes[name]:
-            raise ShapeMismatch(
-                f"{name}: expected shape {shapes[name]}, found {arr.shape}"
-            )
+        if arr.shape != shape:
+            raise ShapeMismatch(f"{name}: expected shape {shape}, found {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ShapeMismatch(f"{name}: contains non-finite values")

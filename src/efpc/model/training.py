@@ -6,13 +6,10 @@ averaged, and all arithmetic but the float64 head (``network.classify``)
 stays in the parameter dtype. Two runs with the same model, data, and
 config produce identical parameters and reports.
 
-Adam steps only the ``token_emb`` rows the run's examples use, gathered
-in id order into compact tables with their moments. A row no example uses
-has a zero gradient and zero moments, and Adam returns such a row bit for
-bit as it was (m = v = 0, step 0 / (0 + eps)), so leaving it out changes
-no bit while the step's cost follows the rows the data uses rather than
-the vocabulary size. The same holds for a used row before its first
-batch, so stepping every used row from the start changes no bit either.
+A run trains only the ``token_emb`` rows its examples use, renumbered
+in id order. Adam leaves a row with zero gradient and zero moments exactly
+as it was, so this gives the dense result while the step's cost follows
+the rows the data uses rather than the vocabulary size.
 
 Training stops with NumericalDivergence at the first example whose loss,
 or batch whose gradient, is not finite, rather than carrying NaNs on to
@@ -27,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -103,14 +100,17 @@ def train(
         raise EmptyDataset("dataset reduced to zero non-empty windows")
 
     rng = random.Random(config.seed)
-    # the run's own copy of token_emb, written in place as rows are stepped;
-    # the caller's parameters are never modified
-    emb = model.params["token_emb"].copy()
-    params = ModelParams({**model.params.tensors, "token_emb": emb})
+    # the run trains the used token_emb rows, with ids renumbered to their
+    # positions; the caller's parameters are never modified
     rows = np.unique(np.concatenate([ex.token_ids for ex in examples]))
-    state = init_adam(ModelParams({**params.tensors, "token_emb": emb[rows]}))
-    # one table for the run: only the used token_emb rows and the small
-    # tensors are written, and they are zeroed again after each step
+    examples = [
+        replace(ex, token_ids=tuple(np.searchsorted(rows, ex.token_ids).tolist()))
+        for ex in examples
+    ]
+    emb = model.params["token_emb"]
+    params = ModelParams({**model.params.tensors, "token_emb": emb[rows]})
+    state = init_adam(params)
+    # one table for the run, zeroed again after each step
     grads = {k: np.zeros_like(t) for k, t in params.tensors.items()}
     stats: list[EpochStats] = []
 
@@ -134,28 +134,15 @@ def train(
                 c, t = _batch_accuracy(probs, ex)
                 correct += c
                 total += t
-            # rows no example uses are exactly zero, so checking and
-            # averaging the used ones covers the whole table
-            step_grads = {**grads, "token_emb": grads["token_emb"][rows]}
-            for k, g in step_grads.items():
+            for k, g in grads.items():
                 if not np.isfinite(g).all():
                     raise NumericalDivergence(
                         f"epoch {epoch} batch {batch_no}: {k} gradient is not finite"
                     )
                 g /= len(batch)
-            stepped, state = adam_step(
-                ModelParams({**params.tensors, "token_emb": emb[rows]}),
-                step_grads,
-                state,
-                config,
-            )
-            emb[rows] = stepped["token_emb"]
-            params = ModelParams({**stepped.tensors, "token_emb": emb})
-            for k, g in grads.items():
-                if k == "token_emb":
-                    g[rows] = 0
-                else:
-                    g.fill(0)
+            params, state = adam_step(params, grads, state, config)
+            for g in grads.values():
+                g.fill(0)
         stats.append(
             EpochStats(
                 epoch=epoch,
@@ -167,7 +154,10 @@ def train(
             "epoch %d: loss %.6f accuracy %.4f", epoch, stats[-1].loss, stats[-1].token_accuracy
         )
 
-    return model.with_params(params), TrainReport(epochs=tuple(stats))
+    emb = emb.copy()
+    emb[rows] = params["token_emb"]
+    trained = ModelParams({**params.tensors, "token_emb": emb})
+    return model.with_params(trained), TrainReport(epochs=tuple(stats))
 
 
 def token_accuracy(

@@ -1,4 +1,3 @@
-import random
 import tempfile
 from pathlib import Path
 
@@ -17,6 +16,7 @@ from efpc.align import (
 )
 from efpc.distill import DistilledDataset, DistilledPair
 from efpc.errors import LengthMismatch, RecordError
+from efpc.text_core import normalize_word
 
 
 def test_label_pair_simple_deletion():
@@ -68,17 +68,23 @@ def test_label_pair_empty_compressed():
     assert result.match_rate == 1.0  # nothing to match
 
 
-def test_label_pair_random_deletions_recover_exactly():
-    rng = random.Random(42)
-    for trial in range(50):
-        n = rng.randint(1, 40)
-        words = [f"w{i}x" for i in range(n)]  # all distinct once normalized
-        rng.shuffle(words)
-        keep = sorted(rng.sample(range(n), rng.randint(1, n)))
-        compressed = [words[i] for i in keep]
-        result = label_pair(words, compressed)
-        assert result.match_rate == 1.0
-        assert [i for i, l in enumerate(result.labels) if l] == keep
+# case and punctuation variants normalize alike, and "..." to the empty word
+_WORDS = st.sampled_from(["cat", "Cat", "cat.", "dog", "(dog)", "the", "The", "...", "w1"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_label_pair_random_deletions_recover_exactly(data):
+    words = data.draw(st.lists(_WORDS | st.text(min_size=1, max_size=3), max_size=40))
+    keep = [i for i, k in enumerate(data.draw(st.lists(st.booleans(), min_size=len(words),
+                                                       max_size=len(words)))) if k]
+    result = label_pair(words, [words[i] for i in keep])
+    assert result.match_rate == 1.0
+    labeled = [i for i, label in enumerate(result.labels) if label]
+    assert [normalize_word(words[i]) for i in labeled] == [
+        normalize_word(words[i]) for i in keep]
+    if len({normalize_word(w) for w in words}) == len(words):
+        assert labeled == keep
 
 
 def test_build_example_prefixes_instruction_with_zero_labels():

@@ -95,7 +95,6 @@ def test_compression_ratio():
 def test_compress_chunk_rejects_empty_reply():
     class Silent:
         provider_id = "silent"
-        request_timeout = 0.0
 
         def complete(self, messages):
             return "   "
@@ -134,7 +133,6 @@ class _FlakyProvider:
     """Fails on chunks whose text contains the marker word."""
 
     provider_id = "flaky"
-    request_timeout = 0.0
 
     def __init__(self, marker):
         self.marker = marker
