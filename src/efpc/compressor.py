@@ -124,11 +124,11 @@ def compress(model: Model, request: CompressionRequest) -> CompressionResult:
     n_keep = target_keep_count(n, tau)
     probs = score_words(model, request.instruction, original)
     ranked = np.argsort(-probs, kind="stable")
-    kept = np.sort(ranked[:n_keep])
+    kept = np.sort(ranked[:n_keep]).tolist()
     return CompressionResult(
-        kept_words=tuple(original[i] for i in kept),
-        kept_indices=tuple(int(i) for i in kept),
-        probabilities=tuple(float(p) for p in probs),
+        kept_words=tuple(map(original.__getitem__, kept)),
+        kept_indices=tuple(kept),
+        probabilities=tuple(probs.tolist()),
         achieved_inverse_ratio=n / n_keep,
     )
 

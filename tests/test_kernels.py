@@ -1,9 +1,10 @@
 """The encoder's numpy kernels against the plain expressions they replace.
 
-The in-place softmax, its backward and the Adam step run the same
+The in-place softmax, the layer norm and the Adam step run the same
 operations in the same order as the expressions written out below, so
-they must agree to the bit; the GELU changed its arithmetic and is held
-to finite differences instead.
+they must agree to the bit. The GELU changed its arithmetic and is held
+to finite differences instead; key-major attention reorders its sums and
+is held to a row-major float64 reference within a tolerance.
 """
 
 import numpy as np
@@ -26,7 +27,14 @@ from efpc.model import (
 )
 from efpc.model import training
 from efpc.model.adam import BETA1, BETA2, EPSILON
-from efpc.model.network import _gelu, _gelu_grad, _softmax_rows, _softmax_rows_backward
+from efpc.model.network import (
+    _attention,
+    _attention_backward,
+    _gelu,
+    _gelu_grad,
+    _layer_norm,
+    _softmax_rows,
+)
 
 RNG = np.random.default_rng(0)
 
@@ -84,12 +92,93 @@ def test_softmax_in_place_is_bit_identical_and_new_leaves_input(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_softmax_backward_is_bit_identical(dtype):
-    attn = _old_softmax_rows(RNG.standard_normal((4, 9, 9)).astype(dtype))
-    dattn = RNG.standard_normal((4, 9, 9)).astype(dtype)
-    expected = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    assert np.array_equal(_softmax_rows_backward(dattn.copy(), attn), expected)
+@pytest.mark.parametrize("width", [48, 64])
+@pytest.mark.parametrize("shift", [0.0, 100.0])
+def test_layer_norm_is_bit_identical_to_mean_and_var(dtype, width, shift):
+    x = (RNG.standard_normal((37, width)) * 3 + shift).astype(dtype)
+    gamma = RNG.standard_normal(width).astype(dtype)
+    beta = RNG.standard_normal(width).astype(dtype)
+    mu = x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    xhat = (x - mu) * inv_std
+    y, (got_xhat, got_inv_std) = _layer_norm(x, gamma, beta)
+    assert y.dtype == dtype
+    assert np.array_equal(got_inv_std, inv_std)
+    assert np.array_equal(got_xhat, xhat)
+    assert np.array_equal(y, xhat * gamma + beta)
 
+
+@st.composite
+def _attention_inputs(draw, dtype=np.float64):
+    """Per-head q (scaled), k, v and a context gradient, with q stretched
+    so the largest score magnitude is between 50 and 1e4."""
+    length = draw(st.integers(1, 64))
+    heads = draw(st.sampled_from([1, 2, 4]))
+    head_dim = draw(st.sampled_from([1, 4, 8]))
+    peak = draw(st.floats(50.0, 1e4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, k, v, dctx = (rng.standard_normal((heads, length, head_dim)) for _ in range(4))
+    q *= peak / np.abs(q @ k.transpose(0, 2, 1)).max()
+    return tuple(t.astype(dtype) for t in (q, k, v, dctx))
+
+
+def _row_major_attention(q, k, v):
+    scores = q @ k.transpose(0, 2, 1)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    return attn @ v, attn
+
+
+def _assert_close(got, want, size=1.0):
+    """Within rtol 1e-5, or within 1e-12 of ``size``, the sum of the
+    absolute values of the terms behind each element, which bounds the
+    rounding error of a sum whose terms cancel."""
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= 1e-5 * np.abs(want) + 1e-12 * size).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_attention_inputs())
+def test_attention_matches_a_row_major_reference(inputs):
+    q, k, v, _ = inputs
+    ctx_h, attn_t = _attention(q, k, v)
+    want_ctx, want_attn = _row_major_attention(q, k, v)
+    assert attn_t.shape == want_attn.shape
+    _assert_close(attn_t.transpose(0, 2, 1), want_attn)
+    _assert_close(ctx_h, want_ctx, want_attn @ np.abs(v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]).flatmap(_attention_inputs))
+def test_attention_weights_of_each_query_sum_to_one(inputs):
+    q, k, v, _ = inputs
+    ctx_h, attn_t = _attention(q, k, v)
+    assert attn_t.dtype == ctx_h.dtype == q.dtype
+    assert np.isfinite(attn_t).all() and np.isfinite(ctx_h).all()
+    assert (attn_t >= 0).all()
+    tol = 1e-5 if q.dtype == np.float32 else 1e-12
+    np.testing.assert_allclose(attn_t.sum(axis=1), 1.0, rtol=0, atol=tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_attention_inputs())
+def test_attention_backward_matches_a_row_major_reference(inputs):
+    q, k, v, dctx = inputs
+    scale = 0.5
+    ctx_h, attn_t = _attention(q, k, v)
+    _, attn = _row_major_attention(q, k, v)
+    dattn = dctx @ v.transpose(0, 2, 1)
+    # the softmax backward's row term, taken in O(L·d) from the context
+    _assert_close((dctx * ctx_h).sum(axis=-1), (dattn * attn).sum(axis=-1),
+                  (np.abs(dctx) * (attn @ np.abs(v))).sum(axis=-1))
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    want = (dscores @ k * scale, dscores.transpose(0, 2, 1) @ q, attn.transpose(0, 2, 1) @ dctx)
+    ds_size = attn * (np.abs(dattn) + (np.abs(dattn) * attn).sum(axis=-1, keepdims=True))
+    sizes = (ds_size @ np.abs(k) * scale, ds_size.transpose(0, 2, 1) @ np.abs(q),
+             attn.transpose(0, 2, 1) @ np.abs(dctx))
+    got = _attention_backward(dctx, q, k, v, attn_t, ctx_h, scale)
+    for g, w, size in zip(got, want, sizes):
+        _assert_close(g, w, size)
 
 CFG = ModelConfig(vocab_size=20, embed_dim=8, num_layers=1, num_heads=2,
                   ffn_dim=16, max_seq_len=8, seed=3)

@@ -10,6 +10,7 @@ from efpc.errors import EmptyDataset, NumericalDivergence
 from efpc.model import (
     Model,
     ModelConfig,
+    ModelParams,
     TrainConfig,
     adam_step,
     backward_detailed,
@@ -127,7 +128,20 @@ def test_long_examples_are_windowed_for_training():
 def test_divergent_loss_stops_training_naming_epoch_and_batch():
     data = toy_rule_examples(4, 3)
     model = small_model(data, embed_dim=16, num_layers=1, num_heads=2, ffn_dim=32)
-    with pytest.raises(NumericalDivergence, match=r"^epoch \d+ batch \d+: loss is nan$"):
+    cls_b = model.params["cls_b"].copy()
+    cls_b[0] = np.nan
+    poisoned = model.with_params(ModelParams({**model.params.tensors, "cls_b": cls_b}))
+    with pytest.raises(NumericalDivergence, match=r"^epoch 0 batch 0: loss is nan$"):
+        train(poisoned, data, fast_train_config(batch_size=2, loss_variant="agnostic"))
+
+
+def test_huge_learning_rate_stops_training_naming_epoch_and_batch():
+    # which check fires first, the loss or a gradient, depends on the
+    # kernels' rounding; either way the run stops and says where
+    data = toy_rule_examples(4, 3)
+    model = small_model(data, embed_dim=16, num_layers=1, num_heads=2, ffn_dim=32)
+    with pytest.raises(NumericalDivergence,
+                       match=r"^epoch \d+ batch \d+: (loss is nan|\S+ gradient is not finite)$"):
         train(model, data, fast_train_config(learning_rate=1e9, batch_size=2,
                                              loss_variant="agnostic"))
 
