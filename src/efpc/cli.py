@@ -57,6 +57,7 @@ from .model import (
     save_checkpoint,
     train,
 )
+from .text_core import split_words
 
 
 class _UsageError(Exception):
@@ -376,6 +377,8 @@ def cmd_compress(args) -> int:
 def _qa_item(rec) -> tuple[str, str, QARecord]:
     """(context, instruction, scored record) of one eval line; the
     instruction defaults to the question."""
+    if not split_words(rec["context"]):
+        raise ValueError("context has no words")
     qa = QARecord(question=rec["question"], gold_answers=tuple(rec["answers"]))
     return rec["context"], rec.get("instruction", qa.question), qa
 
@@ -386,6 +389,7 @@ def cmd_eval(args) -> int:
     data_path = _need(args.data, "--data")
     out = _need(_pick(args.out, cfg.paths, "report"), "--out")
     ratio, budget = _compression_target(cfg, args)
+    target = ContextAnswerTarget(max_words=args.max_answer_words)
     model = load_checkpoint(ckpt)
     records = read_jsonl(
         data_path,
@@ -403,7 +407,6 @@ def cmd_eval(args) -> int:
             unit_budget=budget,
         )
         items.append((compress(model, request), qa))
-    target = ContextAnswerTarget(max_words=args.max_answer_words)
     report = evaluate_downstream(target, items)
     settings = {
         "ratio": ratio,

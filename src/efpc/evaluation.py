@@ -186,6 +186,10 @@ class ContextAnswerTarget:
     max_words: int = 8
     provider_id: str = "context-answer"
 
+    def __post_init__(self):
+        if self.max_words < 1:
+            raise ValueError(f"max_words must be at least 1, got {self.max_words}")
+
     def complete(self, messages: list[dict[str, str]]) -> str:
         content = messages[-1]["content"]
         head, _, question = content.rpartition("\n\nQuestion:\n")
@@ -269,11 +273,6 @@ class SweepCell:
 @dataclass(frozen=True)
 class SweepReport:
     cells: tuple[SweepCell, ...]
-
-    def summary_rows(self) -> list[tuple[float, float]]:
-        return [
-            (c.fraction, c.report.metrics["token_accuracy"]) for c in self.cells
-        ]
 
 
 def data_efficiency_sweep(

@@ -13,20 +13,11 @@ from it, in float64 whatever the parameter dtype, and all score them with
 ``losses.ce_loss``. So the loss and probabilities training sees are the
 ones inference and ``forward_loss`` see, bit for bit.
 
-The forward pass keeps, per block, what the backward pass reads back:
-the block input ``x_in``, LN1's ``(xhat, inv_std)`` and output ``a``, the
-per-head ``q`` (already scaled by 1/sqrt(head_dim)), ``k`` and ``v``, the
-attention weights ``attn_t`` stored key-major as (heads, key, query), the
-per-head context ``ctx_h`` and its merged form ``ctx``, the post-attention
-residual ``x_mid``, LN2's cache and output ``b``, the FFN pre-activation
-``u``, the GELU's ``tanh`` term ``t`` and its output ``g``.
-
-Attention keeps its weights key-major, so the softmax over keys reduces
-along axis 1. numpy reduces a middle axis by combining whole contiguous
-rows element-wise, which vectorises, but runs one short inner loop per
-row to reduce the last axis: on a (4, 256, 256) float32 array the max
-over axis 1 takes about 0.4 times, and the sum about 0.6 times, as long
-as over the last axis.
+Each op (``_layer_norm``, ``_self_attention``, ``_ffn``) returns
+``(out, cache)``, and its backward reads only that cache (and, for the
+layer norm, ``gamma``). ``_block`` composes the ops into one pre-norm
+block; ``encode`` drops each block's caches as soon as the next block has
+its input, and ``backward_detailed`` keeps them for its backward loop.
 
 The backward pass mirrors the forward step by step; its correctness is
 pinned by a central-finite-difference test over every parameter of a
@@ -44,7 +35,7 @@ import numpy as np
 from ..errors import SequenceTooLong
 from .config import ModelConfig, TrainConfig
 from .losses import ce_grad_logits, ce_loss, ce_rows
-from .params import ModelParams
+from .params import LAYER_TENSORS, ModelParams
 from .tokenizer import TokenizedExample
 
 _LN_EPS = 1e-5
@@ -112,9 +103,13 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray,
     """Per-head context ``softmax(q @ k.T) @ v`` and the weights, key-major.
 
     ``q``, ``k`` and ``v`` are (heads, L, head_dim), ``q`` already scaled.
-    The weights come back as ``attn_t`` of shape (heads, key, query): the
-    softmax over keys runs along axis 1, and every pass of it streams
-    along the contiguous query axis.
+    The weights come back as ``attn_t`` of shape (heads, key, query), so
+    the softmax over keys reduces along axis 1. numpy reduces a middle
+    axis by combining whole contiguous rows element-wise, which
+    vectorises, but runs one short inner loop per row to reduce the last
+    axis: on a (4, 256, 256) float32 array the max over axis 1 takes
+    about 0.4 times, and the sum about 0.6 times, as long as over the
+    last axis.
     """
     attn_t = k @ q.transpose(0, 2, 1)
     attn_t -= attn_t.max(axis=1, keepdims=True)
@@ -141,49 +136,74 @@ def _attention_backward(dctx, q, k, v, attn_t, ctx_h, scale: float):
     return dq, ds_t @ q, dv
 
 
-def _forward(params: ModelParams, config: ModelConfig, token_ids) -> tuple[np.ndarray, dict]:
+def _self_attention(a, wq, wk, wv, wo, heads: int):
+    """Multi-head self-attention of the normalized input ``a``."""
+    # plain-float scale so float32 parameters keep a float32 forward pass
+    scale = 1.0 / math.sqrt(a.shape[1] // heads)
+    q = _split_heads((a @ wq) * scale, heads)
+    k = _split_heads(a @ wk, heads)
+    v = _split_heads(a @ wv, heads)
+    ctx_h, attn_t = _attention(q, k, v)
+    ctx = _merge_heads(ctx_h)
+    return ctx @ wo, (a, q, k, v, attn_t, ctx_h, ctx, wq, wk, wv, wo)
+
+
+def _self_attention_backward(dy: np.ndarray, cache):
+    """``(da, dwq, dwk, dwv, dwo)`` for the output gradient ``dy``."""
+    a, q, k, v, attn_t, ctx_h, ctx, wq, wk, wv, wo = cache
+    dctx = _split_heads(dy @ wo.T, q.shape[0])
+    scale = 1.0 / math.sqrt(q.shape[2])
+    dq, dk, dv = _attention_backward(dctx, q, k, v, attn_t, ctx_h, scale)
+    dq, dk, dv = (_merge_heads(t) for t in (dq, dk, dv))
+    da = dq @ wq.T + dk @ wk.T + dv @ wv.T
+    return da, a.T @ dq, a.T @ dk, a.T @ dv, ctx.T @ dy
+
+
+def _ffn(b: np.ndarray, w1: np.ndarray, w2: np.ndarray):
+    """GELU feed-forward of the normalized input ``b``."""
+    u = b @ w1
+    g, t = _gelu(u)
+    return g @ w2, (b, u, t, g, w1, w2)
+
+
+def _ffn_backward(dy: np.ndarray, cache):
+    """``(db, dw1, dw2)`` for the output gradient ``dy``."""
+    b, u, t, g, w1, w2 = cache
+    du = dy @ w2.T
+    du *= _gelu_grad(u, t)
+    return du @ w1.T, b.T @ du, g.T @ dy
+
+
+def _embed(params: ModelParams, config: ModelConfig, token_ids) -> tuple[np.ndarray, np.ndarray]:
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
         raise ValueError("token_ids must be a nonempty 1-d sequence")
     length = ids.shape[0]
     if length > config.max_seq_len:
         raise SequenceTooLong(f"{length} tokens exceed limit {config.max_seq_len}")
+    return ids, params["token_emb"][ids] + params["pos_emb"][:length]
 
-    x = params["token_emb"][ids] + params["pos_emb"][:length]
-    cache: dict = {"ids": ids, "layers": []}
-    # plain-float scale so float32 parameters keep a float32 forward pass
-    scale = 1.0 / math.sqrt(config.head_dim)
 
-    for i in range(config.num_layers):
-        p = lambda t: params[f"layer{i}.{t}"]  # noqa: E731
-        layer: dict = {"x_in": x}
-
-        a, layer["ln1"] = _layer_norm(x, p("ln1_gamma"), p("ln1_beta"))
-        layer["a"] = a
-        q = _split_heads((a @ p("wq")) * scale, config.num_heads)
-        k = _split_heads(a @ p("wk"), config.num_heads)
-        v = _split_heads(a @ p("wv"), config.num_heads)
-        ctx_h, attn_t = _attention(q, k, v)
-        ctx = _merge_heads(ctx_h)
-        layer.update(q=q, k=k, v=v, attn_t=attn_t, ctx_h=ctx_h, ctx=ctx)
-        x = x + ctx @ p("wo")
-
-        layer["x_mid"] = x
-        b, layer["ln2"] = _layer_norm(x, p("ln2_gamma"), p("ln2_beta"))
-        u = b @ p("w1")
-        g, t = _gelu(u)
-        layer.update(b=b, u=u, t=t, g=g)
-        x = x + g @ p("w2")
-
-        cache["layers"].append(layer)
-
-    return x, cache
+def _block(x: np.ndarray, params: ModelParams, i: int, heads: int):
+    """Block ``i``: ``x + Attn(LN1(x))``, then ``+ FFN(LN2(·))``, and the
+    caches its backward in ``backward_detailed`` reads."""
+    gamma1, beta1, wq, wk, wv, wo, gamma2, beta2, w1, w2 = (
+        params[f"layer{i}.{t}"] for t in LAYER_TENSORS
+    )
+    a, ln1 = _layer_norm(x, gamma1, beta1)
+    y, attn = _self_attention(a, wq, wk, wv, wo, heads)
+    x = x + y
+    b, ln2 = _layer_norm(x, gamma2, beta2)
+    y, ffn = _ffn(b, w1, w2)
+    return x + y, (ln1, gamma1, attn, ln2, gamma2, ffn)
 
 
 def encode(params: ModelParams, config: ModelConfig, token_ids) -> np.ndarray:
     """Hidden state per position; raises SequenceTooLong past the limit."""
-    h, _ = _forward(params, config, token_ids)
-    return h
+    _, x = _embed(params, config, token_ids)
+    for i in range(config.num_layers):
+        x = _block(x, params, i, config.num_heads)[0]
+    return x
 
 
 def classify(params: ModelParams, h: np.ndarray) -> np.ndarray:
@@ -211,8 +231,11 @@ def backward_detailed(
     a zero table is made. Passing the returned table back in sums the
     gradients of several examples.
     """
-    h, cache = _forward(params, config, example.token_ids)
-    length = h.shape[0]
+    ids, h = _embed(params, config, example.token_ids)
+    caches = []
+    for i in range(config.num_layers):
+        h, cache = _block(h, params, i, config.num_heads)
+        caches.append(cache)
     if grads is None:
         grads = {k: np.zeros_like(t) for k, t in params.tensors.items()}
 
@@ -226,43 +249,20 @@ def backward_detailed(
     grads["cls_b"] += dlogits.sum(axis=0)
     dx = dlogits @ params["cls_w"]
 
-    scale = 1.0 / math.sqrt(config.head_dim)
     for i in reversed(range(config.num_layers)):
-        p = lambda t: params[f"layer{i}.{t}"]  # noqa: E731
-        layer = cache["layers"][i]
-
-        # x_out = x_mid + gelu(LN2(x_mid) @ w1) @ w2
-        dffn_out = dx
-        grads[f"layer{i}.w2"] += layer["g"].T @ dffn_out
-        du = dffn_out @ p("w2").T
-        du *= _gelu_grad(layer["u"], layer["t"])
-        grads[f"layer{i}.w1"] += layer["b"].T @ du
-        db = du @ p("w1").T
-        dx_mid, dg2, db2 = _layer_norm_backward(db, layer["ln2"], p("ln2_gamma"))
-        grads[f"layer{i}.ln2_gamma"] += dg2
-        grads[f"layer{i}.ln2_beta"] += db2
+        ln1, gamma1, attn, ln2, gamma2, ffn = caches.pop()
+        db, dw1, dw2 = _ffn_backward(dx, ffn)
+        dx_mid, dgamma2, dbeta2 = _layer_norm_backward(db, ln2, gamma2)
         dx = dx + dx_mid
-
-        # x_mid = x_in + merge(attention(a @ wq * scale, a @ wk, a @ wv)) @ wo
-        dattn_out = dx
-        grads[f"layer{i}.wo"] += layer["ctx"].T @ dattn_out
-        dctx = _split_heads(dattn_out @ p("wo").T, config.num_heads)
-        dq, dk, dv = _attention_backward(
-            dctx, layer["q"], layer["k"], layer["v"], layer["attn_t"], layer["ctx_h"], scale
-        )
-        a = layer["a"]
-        dq_m, dk_m, dv_m = (_merge_heads(t) for t in (dq, dk, dv))
-        grads[f"layer{i}.wq"] += a.T @ dq_m
-        grads[f"layer{i}.wk"] += a.T @ dk_m
-        grads[f"layer{i}.wv"] += a.T @ dv_m
-        da = dq_m @ p("wq").T + dk_m @ p("wk").T + dv_m @ p("wv").T
-        dx_in, dg1, db1 = _layer_norm_backward(da, layer["ln1"], p("ln1_gamma"))
-        grads[f"layer{i}.ln1_gamma"] += dg1
-        grads[f"layer{i}.ln1_beta"] += db1
+        da, dwq, dwk, dwv, dwo = _self_attention_backward(dx, attn)
+        dx_in, dgamma1, dbeta1 = _layer_norm_backward(da, ln1, gamma1)
         dx = dx + dx_in
+        layer_grads = (dgamma1, dbeta1, dwq, dwk, dwv, dwo, dgamma2, dbeta2, dw1, dw2)
+        for t, g in zip(LAYER_TENSORS, layer_grads, strict=True):
+            grads[f"layer{i}.{t}"] += g
 
-    np.add.at(grads["token_emb"], cache["ids"], dx)
-    grads["pos_emb"][:length] += dx
+    np.add.at(grads["token_emb"], ids, dx)
+    grads["pos_emb"][: ids.size] += dx
 
     return loss, grads, probs
 

@@ -14,24 +14,20 @@ from ..errors import ShapeMismatch
 from .config import ModelConfig
 
 
+# one layer's tensors, in storage order; the encoder reads them by these names
+LAYER_TENSORS = (
+    "ln1_gamma", "ln1_beta", "wq", "wk", "wv", "wo", "ln2_gamma", "ln2_beta", "w1", "w2",
+)
+
+
 def _layout(config: ModelConfig) -> tuple[dict[str, tuple[int, ...]], ...]:
     """Shapes of the tensors before the layers, of one layer, and after
     the layers, each in storage order."""
     d, f = config.embed_dim, config.ffn_dim
+    layer = ((d,), (d,), (d, d), (d, d), (d, d), (d, d), (d,), (d,), (d, f), (f, d))
     return (
         {"token_emb": (config.vocab_size, d), "pos_emb": (config.max_seq_len, d)},
-        {
-            "ln1_gamma": (d,),
-            "ln1_beta": (d,),
-            "wq": (d, d),
-            "wk": (d, d),
-            "wv": (d, d),
-            "wo": (d, d),
-            "ln2_gamma": (d,),
-            "ln2_beta": (d,),
-            "w1": (d, f),
-            "w2": (f, d),
-        },
+        dict(zip(LAYER_TENSORS, layer, strict=True)),
         {"cls_w": (2, d), "cls_b": (2,)},
     )
 
@@ -66,10 +62,6 @@ class ModelParams:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.tensors["token_emb"].dtype
 
     def parameter_count(self) -> int:
         return sum(v.size for v in self.tensors.values())

@@ -29,8 +29,8 @@ def test_round_trip_is_bit_exact(trained_model, tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.config == trained_model.config
     assert loaded.vocab == trained_model.vocab
-    assert loaded.params.dtype == np.float32
     for name, tensor in trained_model.params.tensors.items():
+        assert loaded.params[name].dtype == np.float32, name
         assert np.array_equal(loaded.params[name], tensor), name
 
 

@@ -277,6 +277,19 @@ def test_eval_task_agnostic_flag(pipeline, tmp_path):
     assert json.loads(out.read_text())["metrics"]["n_scored"] == 1
 
 
+@pytest.mark.parametrize("words", ["0", "-3"])
+def test_eval_rejects_max_answer_words_below_one(pipeline, tmp_path, capsys, words):
+    *_, ckpt = pipeline
+    data = tmp_path / "qa.jsonl"
+    data.write_text(json.dumps(GOOD_RECORDS["qa"]) + "\n")
+    out = tmp_path / "report.json"
+    assert run_cli(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--ratio", "0.5",
+                    "--max-answer-words", words, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "max_words" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_sweep_writes_cells_and_summary(pipeline, tmp_path):
     root, corpus, pairs, labeled, ckpt = pipeline
     out_dir = tmp_path / "sweep"
@@ -353,6 +366,7 @@ BAD_VALUES = {
         "labels": [0, 0, 0, 1, 0], "boundary_m": 2,
     },
     ("qa", "bad value"): {"answers": []},
+    ("qa", "blank context"): {"context": "   "},
 }
 
 

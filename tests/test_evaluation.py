@@ -152,7 +152,7 @@ def test_sweep_zero_fraction_is_exactly_the_base_model(sweep_setup):
     assert sweep.cells[0].report.metrics["token_accuracy"] == base_acc
     assert sweep.cells[0].report.metrics["n_extra"] == 0.0
     assert sweep.cells[1].report.metrics["n_extra"] == 40.0
-    assert sweep.summary_rows()[0] == (0.0, base_acc)
+    assert sweep.cells[0].fraction == 0.0
 
 
 def test_sweep_is_deterministic(sweep_setup):
@@ -163,7 +163,7 @@ def test_sweep_is_deterministic(sweep_setup):
         )
         for _ in range(2)
     ]
-    assert runs[0].summary_rows() == runs[1].summary_rows()
+    assert runs[0].cells == runs[1].cells
 
 
 def test_sweep_validates_fractions(sweep_setup):

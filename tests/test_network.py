@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -17,6 +18,7 @@ from efpc.model import (
     tokenize_words,
     vocab_from_words,
 )
+from efpc.model import network
 
 CFG = ModelConfig(
     vocab_size=20, embed_dim=16, num_layers=2, num_heads=4, ffn_dim=32,
@@ -115,6 +117,47 @@ def test_training_pass_uses_the_inference_head_and_loss(params, variant):
     for name, g in grads.items():
         assert g.shape == params[name].shape
         assert g.dtype == params[name].dtype
+
+
+def _encode_peak(num_layers: int) -> int:
+    config = ModelConfig(vocab_size=50, embed_dim=32, num_layers=num_layers, num_heads=4,
+                         ffn_dim=64, max_seq_len=128, seed=1)
+    params = init_params(config)
+    ids = np.arange(128) % 50
+    tracemalloc.start()
+    try:
+        encode(params, config, ids)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_encode_keeps_no_layer_of_backward_cache():
+    # inference frees each block's activations once the next block has its input
+    assert _encode_peak(4) < 1.5 * _encode_peak(1)
+
+
+def test_ops_are_looked_up_by_name_once_per_layer(params, monkeypatch):
+    names = ("_layer_norm", "_self_attention", "_self_attention_backward", "_ffn",
+             "_ffn_backward", "_layer_norm_backward")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(network, name, counting(name, getattr(network, name)))
+    encode(params, CFG, [3, 4, 5])
+    assert calls == {"_layer_norm": 2 * CFG.num_layers, "_self_attention": CFG.num_layers,
+                     "_ffn": CFG.num_layers, "_self_attention_backward": 0,
+                     "_ffn_backward": 0, "_layer_norm_backward": 0}
+    vocab = vocab_from_words(list("abcdefgh"))
+    backward_detailed(params, CFG, tokenize_words(vocab, ["a"], ["b", "c"], [1, 0]))
+    assert calls["_self_attention_backward"] == calls["_ffn_backward"] == CFG.num_layers
+    assert calls["_layer_norm_backward"] == 2 * CFG.num_layers
 
 
 def test_forward_loss_rejects_an_unknown_variant(params):
