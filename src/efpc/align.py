@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._util import read_jsonl, round_half_up, write_jsonl
+from ._util import read_jsonl, write_jsonl
 from .distill import DistilledDataset
 from .errors import LengthMismatch
 from .text_core import normalize_word, split_words
@@ -114,6 +114,8 @@ def label_distilled_pairs(
     example comes out with ``boundary_m == 0``, which is how task-agnostic
     training data is produced from task-aware collection runs.
     """
+    if not 0.0 <= min_match_rate <= 1.0:
+        raise ValueError(f"min_match_rate must be within [0, 1], got {min_match_rate}")
     examples = []
     dropped = 0
     for pair in dataset.pairs:
@@ -126,34 +128,6 @@ def label_distilled_pairs(
     if dropped:
         logger.info("dropped %d pairs below match rate %.2f", dropped, min_match_rate)
     return examples
-
-
-def mix_datasets(
-    aware: list[LabeledExample],
-    agnostic: list[LabeledExample],
-    alpha: float,
-    total: int,
-) -> list[LabeledExample]:
-    """Interleave ``total`` examples, a fraction ``alpha`` from ``aware``.
-
-    Takes round(alpha * total) examples from the aware pool (half-up) and
-    the remainder from the agnostic pool, cycling each pool if it is
-    shorter than its share. Order is aware block then agnostic block;
-    shuffling is the trainer's job.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be within [0, 1]")
-    if total < 0:
-        raise ValueError("total must be non-negative")
-    n_aware = round_half_up(alpha * total)
-    n_agnostic = total - n_aware
-    if n_aware > 0 and not aware:
-        raise ValueError("aware pool is empty but alpha > 0")
-    if n_agnostic > 0 and not agnostic:
-        raise ValueError("agnostic pool is empty but alpha < 1")
-    mixed = [aware[i % len(aware)] for i in range(n_aware)]
-    mixed += [agnostic[i % len(agnostic)] for i in range(n_agnostic)]
-    return mixed
 
 
 def write_labeled_jsonl(examples: list[LabeledExample], path) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -297,8 +298,8 @@ def ratio_histogram(dataset: DistilledDataset, bin_width: float = 1.0) -> RatioH
     Ratios below 1.0 (possible only with providers that add words) are
     counted in the first bin so that counts always sum to the pair count.
     """
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+    if not 0 < bin_width < math.inf:
+        raise ValueError(f"bin_width must be a finite positive number, got {bin_width}")
     ratios = [p.ratio for p in dataset.pairs]
     if not ratios:
         raise EmptyDataset("dataset has no pairs")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..align import LabeledExample
@@ -16,9 +16,6 @@ class Model:
     config: ModelConfig
     vocab: Vocab
     params: ModelParams
-
-    def with_params(self, params: ModelParams) -> Model:
-        return replace(self, params=params)
 
 
 def new_model(dataset: Sequence[LabeledExample], **config_overrides) -> Model:

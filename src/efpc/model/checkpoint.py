@@ -6,7 +6,7 @@ Layout, all integers little-endian unsigned 32-bit:
     u32       header length in bytes
     bytes     UTF-8 JSON header: {"format_version": 1,
               "model_config": {...}, "vocab": {"words": [...]}}
-    repeated  per tensor, in params.tensor_order: u32 byte length,
+    repeated  per tensor, in params.tensor_shapes order: u32 byte length,
               then the tensor as little-endian float32, C order
     u32       CRC32 (zlib) of every preceding byte
 
@@ -29,7 +29,7 @@ from .._util import write_atomic
 from ..errors import CheckpointError, ChecksumMismatch, FormatVersionMismatch, ShapeMismatch
 from .bundle import Model
 from .config import ModelConfig
-from .params import ModelParams, tensor_count, tensor_order, tensor_shapes, validate_params
+from .params import ModelParams, tensor_count, tensor_shapes, validate_params
 from .vocab import vocab_from_word_list
 
 MAGIC = b"EFPCKPT1"
@@ -53,7 +53,7 @@ def save_checkpoint(model: Model, path) -> None:
     header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
     blob += _U32.pack(len(header_bytes))
     blob += header_bytes
-    for name in tensor_order(model.config):
+    for name in tensor_shapes(model.config):
         data = np.ascontiguousarray(model.params[name], dtype="<f4").tobytes()
         blob += _U32.pack(len(data))
         blob += data

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
@@ -60,8 +61,10 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_types(self)
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be a finite positive number, got {self.learning_rate}"
+            )
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:

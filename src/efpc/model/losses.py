@@ -4,9 +4,9 @@ Three variants differ only in how the instruction prefix is handled:
 ``agnostic`` has no prefix, ``drop`` averages over every position with the
 prefix labeled discard, and ``mask`` averages over original positions
 only. ``ce_rows`` maps a variant to the rows and labels it averages and
-``ce_loss`` evaluates any variant through that one path, so the two
-prefixed variants collapse to the agnostic loss at boundary 0 with exact
-float equality.
+``ce_loss_and_grad`` evaluates any variant through that one path, so the
+two prefixed variants collapse to the agnostic loss at boundary 0 with
+exact float equality.
 
 Probabilities are clamped to [1e-12, 1−1e-12] before the log, and the
 gradient is defined as zero wherever the clamp is active.
@@ -26,31 +26,12 @@ PRESERVE_COL = 0
 DISCARD_COL = 1
 
 
-def _mean_ce(probs: np.ndarray, labels: np.ndarray, start: int) -> float:
-    """Mean clamped CE over rows start..end against 0/1 labels."""
-    block = probs[start:]
-    p_true = np.where(labels == 1, block[:, PRESERVE_COL], block[:, DISCARD_COL])
-    return float(np.mean(-np.log(np.clip(p_true, PROB_FLOOR, PROB_CEIL))))
-
-
-def _check(probs, labels, boundary: int) -> np.ndarray:
-    probs = np.asarray(probs)
-    if probs.ndim != 2 or probs.shape[1] != 2:
-        raise LengthMismatch("probs must be a (length, 2) array")
-    if boundary + len(labels) != len(probs):
-        raise LengthMismatch(
-            f"{len(probs)} positions need {len(probs) - boundary} labels, "
-            f"got {len(labels)}"
-        )
-    return probs
-
-
 def ce_rows(variant: str, labels, boundary: int):
     """Included row range and full label vector for a loss variant.
 
     Returns (start_row, labels_for_rows): the loss averages rows from
     start_row on against labels_for_rows. The only place a variant is
-    interpreted; ``ce_loss`` and the analytic backward pass both read it.
+    interpreted.
     """
     labels = np.asarray(labels)
     if variant == "agnostic":
@@ -64,30 +45,34 @@ def ce_rows(variant: str, labels, boundary: int):
     raise ValueError(f"unknown loss variant {variant!r}")
 
 
-def ce_loss(variant: str, probs, labels, boundary: int) -> float:
+def ce_loss_and_grad(variant: str, probs, labels, boundary: int) -> tuple[float, np.ndarray]:
     """Mean clamped CE of a loss variant over a (length, 2) probability
-    array, for labels of the positions after ``boundary``."""
-    start, row_labels = ce_rows(variant, labels, boundary)
-    return _mean_ce(_check(probs, labels, boundary), row_labels, start)
+    array, for labels of the positions after ``boundary``, and its
+    gradient with respect to the logits.
 
-
-def ce_grad_logits(
-    probs: np.ndarray, labels: np.ndarray, start: int
-) -> np.ndarray:
-    """d(mean clamped CE)/d(logits) for rows start.., zero elsewhere.
-
-    Rows where the true-class probability hit the clamp get zero gradient,
-    matching the loss's flat region there.
+    The gradient is zero on rows the variant leaves out and on rows whose
+    true-class probability hit the clamp, matching the loss's flat region
+    there.
     """
-    total = len(probs)
-    count = total - start
-    grad = np.zeros_like(probs)
+    start, row_labels = ce_rows(variant, labels, boundary)
+    probs = np.asarray(probs)
+    if probs.ndim != 2 or probs.shape[1] != 2:
+        raise LengthMismatch("probs must be a (length, 2) array")
+    if boundary + len(labels) != len(probs):
+        raise LengthMismatch(
+            f"{len(probs)} positions need {len(probs) - boundary} labels, "
+            f"got {len(labels)}"
+        )
     block = probs[start:]
-    onehot = np.zeros_like(block)
+    count = len(block)
     rows = np.arange(count)
-    cols = np.where(labels == 1, PRESERVE_COL, DISCARD_COL)
-    onehot[rows, cols] = 1.0
+    cols = np.where(row_labels == 1, PRESERVE_COL, DISCARD_COL)
     p_true = block[rows, cols]
+    loss = float(np.mean(-np.log(np.clip(p_true, PROB_FLOOR, PROB_CEIL))))
+
+    onehot = np.zeros_like(block)
+    onehot[rows, cols] = 1.0
     live = ((p_true > PROB_FLOOR) & (p_true < PROB_CEIL)).astype(block.dtype)
+    grad = np.zeros_like(probs)
     grad[start:] = (block - onehot) * live[:, None] / count
-    return grad
+    return loss, grad

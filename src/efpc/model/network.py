@@ -7,11 +7,12 @@ with multi-head self-attention (no projection biases), a GELU feed-forward
 (no biases), and no final normalization. A 2-way linear head with bias
 turns each hidden state into (preserve, discard) logits.
 
-``classify`` is the only code that evaluates the head: inference,
-``forward_loss`` and ``backward_detailed`` all get their probabilities
-from it, in float64 whatever the parameter dtype, and all score them with
-``losses.ce_loss``. So the loss and probabilities training sees are the
-ones inference and ``forward_loss`` see, bit for bit.
+Inference is ``encode`` then ``classify``; training is
+``backward_detailed``, which runs the same blocks and the same
+``classify`` and scores its probabilities with
+``losses.ce_loss_and_grad``. So the probabilities training sees are the
+ones inference sees, bit for bit, in float64 whatever the parameter
+dtype.
 
 Each op (``_layer_norm``, ``_self_attention``, ``_ffn``) returns
 ``(out, cache)``, and its backward reads only that cache (and, for the
@@ -34,7 +35,7 @@ import numpy as np
 
 from ..errors import SequenceTooLong
 from .config import ModelConfig, TrainConfig
-from .losses import ce_grad_logits, ce_loss, ce_rows
+from .losses import ce_loss_and_grad
 from .params import LAYER_TENSORS, ModelParams
 from .tokenizer import TokenizedExample
 
@@ -89,14 +90,12 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(length, heads * head_dim)
 
 
-def _softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax over the last axis, written to ``out`` (``x`` itself for an
-    in-place softmax) or to a new array; shift, exp and normalize run in
-    that order either way, so both give the same bits."""
-    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, in place."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,7 +213,7 @@ def classify(params: ModelParams, h: np.ndarray) -> np.ndarray:
     """
     logits = h.astype(np.float64) @ params["cls_w"].T.astype(np.float64)
     logits += params["cls_b"].astype(np.float64)
-    return _softmax_rows(logits, out=logits)
+    return _softmax_rows(logits)
 
 
 def backward_detailed(
@@ -240,11 +239,9 @@ def backward_detailed(
         grads = {k: np.zeros_like(t) for k, t in params.tensors.items()}
 
     probs = classify(params, h)
-    loss = ce_loss(loss_variant, probs, example.labels, example.boundary)
-
-    start, row_labels = ce_rows(loss_variant, example.labels, example.boundary)
+    loss, dlogits = ce_loss_and_grad(loss_variant, probs, example.labels, example.boundary)
     # the head runs in float64; the blocks' backward stays in the parameter dtype
-    dlogits = ce_grad_logits(probs, row_labels, start).astype(h.dtype)
+    dlogits = dlogits.astype(h.dtype)
     grads["cls_w"] += dlogits.T @ h
     grads["cls_b"] += dlogits.sum(axis=0)
     dx = dlogits @ params["cls_w"]
@@ -265,15 +262,3 @@ def backward_detailed(
     grads["pos_emb"][: ids.size] += dx
 
     return loss, grads, probs
-
-
-def forward_loss(
-    params: ModelParams,
-    config: ModelConfig,
-    example: TokenizedExample,
-    loss_variant: str = TrainConfig.loss_variant,
-) -> float:
-    """Loss only, via the same forward pass and head backward_detailed
-    differentiates, so the two losses are equal."""
-    h = encode(params, config, example.token_ids)
-    return ce_loss(loss_variant, classify(params, h), example.labels, example.boundary)

@@ -1,7 +1,7 @@
 """Parameter tensors for the encoder, kept in one name-keyed table.
 
-The tensor order returned by :func:`tensor_order` is the storage order of
-the checkpoint format and must not change between releases.
+The key order of :func:`tensor_shapes` is the storage order of the
+checkpoint format and must not change between releases.
 """
 
 from __future__ import annotations
@@ -43,20 +43,15 @@ def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def tensor_order(config: ModelConfig) -> tuple[str, ...]:
-    """Canonical tensor names, in storage order."""
-    return tuple(tensor_shapes(config))
-
-
 def tensor_count(config: ModelConfig) -> int:
-    """``len(tensor_order(config))``, without building the names."""
+    """``len(tensor_shapes(config))``, without building the names."""
     before, layer, after = _layout(config)
     return len(before) + config.num_layers * len(layer) + len(after)
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All trainable tensors, keyed by the names in tensor_order."""
+    """All trainable tensors, keyed by the names of tensor_shapes."""
 
     tensors: dict[str, np.ndarray]
 

@@ -16,7 +16,7 @@ or batch whose gradient, is not finite, rather than carrying NaNs on to
 the end.
 
 Incremental training is just calling train() on a loaded model; joint
-training is calling it on a mixed dataset (see align.mix_datasets).
+training is calling it on the concatenation of the datasets.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ class EpochStats:
 @dataclass(frozen=True)
 class TrainReport:
     epochs: tuple[EpochStats, ...]
-
-    @property
-    def final(self) -> EpochStats:
-        return self.epochs[-1]
 
 
 def prepare_examples(
@@ -157,7 +153,7 @@ def train(
     emb = emb.copy()
     emb[rows] = params["token_emb"]
     trained = ModelParams({**params.tensors, "token_emb": emb})
-    return model.with_params(trained), TrainReport(epochs=tuple(stats))
+    return replace(model, params=trained), TrainReport(epochs=tuple(stats))
 
 
 def token_accuracy(

@@ -20,12 +20,13 @@ from efpc.model import (
     TokenizedExample,
     TrainConfig,
     backward_detailed,
-    forward_loss,
+    classify,
+    encode,
     new_model,
     tensor_shapes,
     vocab_from_words,
 )
-from efpc.model.losses import ce_loss
+from efpc.model.losses import ce_loss_and_grad
 
 PARITY_POOL = (
     "amber", "basalt", "cedar", "delta", "ember", "fjord", "garnet", "harbor",
@@ -114,17 +115,29 @@ def rigged_model(word_scores: dict[str, float], max_seq_len: int = 16) -> Model:
 
 def loss_agnostic(probs, labels) -> float:
     """Mean CE over all positions; no instruction prefix exists."""
-    return ce_loss("agnostic", probs, labels, 0)
+    return ce_loss_and_grad("agnostic", probs, labels, 0)[0]
 
 
 def loss_drop(probs, labels, boundary: int) -> float:
     """Mean CE over every position, prefix positions labeled discard."""
-    return ce_loss("drop", probs, labels, boundary)
+    return ce_loss_and_grad("drop", probs, labels, boundary)[0]
 
 
 def loss_mask(probs, labels, boundary: int) -> float:
     """Mean CE over original positions only; prefix rows never contribute."""
-    return ce_loss("mask", probs, labels, boundary)
+    return ce_loss_and_grad("mask", probs, labels, boundary)[0]
+
+
+def forward_loss(
+    params: ModelParams,
+    config: ModelConfig,
+    example: TokenizedExample,
+    loss_variant: str = TrainConfig.loss_variant,
+) -> float:
+    """Loss only, through inference's ``encode`` and ``classify``: the
+    function the gradient oracle differences."""
+    probs = classify(params, encode(params, config, example.token_ids))
+    return ce_loss_and_grad(loss_variant, probs, example.labels, example.boundary)[0]
 
 
 def zeros_like_params(params: ModelParams) -> dict[str, np.ndarray]:

@@ -95,3 +95,6 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(loss_variant="focal")
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate must be a finite positive number"):
+            TrainConfig(learning_rate=lr)

@@ -10,7 +10,6 @@ from efpc.align import (
     build_example,
     label_distilled_pairs,
     label_pair,
-    mix_datasets,
     read_labeled_jsonl,
     write_labeled_jsonl,
 )
@@ -138,6 +137,12 @@ def test_label_distilled_pairs_min_match_rate_filters():
     assert len(examples) == 1  # the z z z pair matches nothing
 
 
+@pytest.mark.parametrize("rate", [float("nan"), -0.1, 2.0, float("inf")])
+def test_label_distilled_pairs_refuses_a_rate_outside_zero_to_one(rate):
+    with pytest.raises(ValueError, match=r"min_match_rate must be within \[0, 1\]"):
+        label_distilled_pairs(_dataset(), min_match_rate=rate)
+
+
 def test_labeled_example_rejects_bad_labels_on_construction():
     LabeledExample(words=("a", "b"), labels=(0, 1), boundary_m=0)  # fine
     with pytest.raises(LengthMismatch):
@@ -151,50 +156,6 @@ def test_labeled_example_validates_lengths_on_construction():
         LabeledExample(words=("a", "b"), labels=(1,), boundary_m=0)
     with pytest.raises(LengthMismatch):
         LabeledExample(words=("a",), labels=(1,), boundary_m=2)
-
-
-def _pools():
-    aware = [
-        LabeledExample(words=("q", "a"), labels=(0, 1), boundary_m=1)
-        for _ in range(4)
-    ]
-    agnostic = [
-        LabeledExample(words=("b",), labels=(1,), boundary_m=0) for _ in range(4)
-    ]
-    return aware, agnostic
-
-
-def test_mix_datasets_half_and_half():
-    aware, agnostic = _pools()
-    mixed = mix_datasets(aware, agnostic, alpha=0.5, total=8)
-    assert len(mixed) == 8
-    assert sum(1 for ex in mixed if ex.boundary_m > 0) == 4
-
-
-def test_mix_datasets_rounds_half_up():
-    aware, agnostic = _pools()
-    mixed = mix_datasets(aware, agnostic, alpha=0.5, total=3)
-    assert sum(1 for ex in mixed if ex.boundary_m > 0) == 2  # 1.5 -> 2
-
-
-def test_mix_datasets_cycles_short_pools():
-    aware, agnostic = _pools()
-    mixed = mix_datasets(aware, agnostic, alpha=1.0, total=10)
-    assert len(mixed) == 10
-    assert all(ex.boundary_m > 0 for ex in mixed)
-
-
-def test_mix_datasets_validates():
-    aware, agnostic = _pools()
-    with pytest.raises(ValueError):
-        mix_datasets(aware, agnostic, alpha=1.5, total=4)
-    with pytest.raises(ValueError):
-        mix_datasets(aware, agnostic, alpha=0.5, total=-1)
-    with pytest.raises(ValueError):
-        mix_datasets([], agnostic, alpha=0.5, total=4)
-    with pytest.raises(ValueError):
-        mix_datasets(aware, [], alpha=0.5, total=4)
-    assert mix_datasets([], agnostic, alpha=0.0, total=2) == agnostic[:2]
 
 
 def test_labeled_jsonl_round_trip(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from efpc.errors import CheckpointError, ChecksumMismatch, FormatVersionMismatch
 from efpc.model import MAGIC, ModelConfig, load_checkpoint, save_checkpoint, train
-from efpc.model.params import tensor_count, tensor_order
+from efpc.model.params import tensor_count, tensor_shapes
 
 from helpers import fast_train_config, small_model, toy_rule_examples
 
@@ -121,7 +121,7 @@ def test_trailing_bytes_are_rejected(trained_model, tmp_path):
 
 
 def test_storage_order_is_fixed():
-    assert list(tensor_order(ModelConfig(vocab_size=3, num_layers=1))) == [
+    assert list(tensor_shapes(ModelConfig(vocab_size=3, num_layers=1))) == [
         "token_emb", "pos_emb",
         "layer0.ln1_gamma", "layer0.ln1_beta", "layer0.wq", "layer0.wk", "layer0.wv",
         "layer0.wo", "layer0.ln2_gamma", "layer0.ln2_beta", "layer0.w1", "layer0.w2",
@@ -132,7 +132,7 @@ def test_storage_order_is_fixed():
 @pytest.mark.parametrize("num_layers", [0, 1, 3])
 def test_tensor_count_is_the_length_of_the_storage_order(num_layers):
     config = ModelConfig(vocab_size=3, num_layers=num_layers)
-    assert tensor_count(config) == len(tensor_order(config)) == 4 + 10 * num_layers
+    assert tensor_count(config) == len(tensor_shapes(config)) == 4 + 10 * num_layers
 
 
 def test_layer_count_beyond_the_file_size_is_refused(tmp_path):

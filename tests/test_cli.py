@@ -547,6 +547,48 @@ def test_zero_heads_exits_one(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_finite_learning_rate_exits_one_naming_it(pipeline, tmp_path, capsys,
+                                                      command, lr, source):
+    *_, labeled, ckpt = pipeline
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--data", str(labeled), "--out", str(out)]
+    else:
+        argv = ["sweep", "--base-checkpoint", str(ckpt), "--extra", str(labeled),
+                "--eval-data", str(labeled), "--fractions", "1.0", "--out-dir", str(out)]
+    if source == "flag":
+        argv += ["--lr", lr]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"learning_rate": float(lr)}}))
+        argv += ["--config", str(cfg)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: learning_rate must be a finite positive number, got {float(lr)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stats", "--bin-width", "nan"], "bin_width must be a finite positive number, got nan"),
+    (["label", "--min-match-rate", "nan", "--out", "{out}"],
+     "min_match_rate must be within [0, 1], got nan"),
+    (["label", "--min-match-rate", "2", "--out", "{out}"],
+     "min_match_rate must be within [0, 1], got 2.0"),
+])
+def test_out_of_range_numeric_flag_exits_one_naming_it(pipeline, tmp_path, capsys, argv,
+                                                       message):
+    pairs = pipeline[2]
+    out = tmp_path / "out.jsonl"
+    flag = "--dataset" if argv[0] == "stats" else "--pairs"
+    argv = [a.format(out=out) for a in argv] + [flag, str(pairs)]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_bad_config_file_exits_one(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{nope")

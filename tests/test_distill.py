@@ -207,6 +207,9 @@ def test_ratio_histogram_validates():
         ratio_histogram(_pairs([]))
     with pytest.raises(ValueError):
         ratio_histogram(_pairs([2.0]), bin_width=0.0)
+    for width in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="bin_width must be a finite positive number"):
+            ratio_histogram(_pairs([2.0]), bin_width=width)
 
 
 # --------------------------------------------------------- HTTP provider

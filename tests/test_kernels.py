@@ -79,14 +79,10 @@ def test_gelu_matches_the_pow_formula():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_softmax_in_place_is_bit_identical_and_new_leaves_input(dtype):
+def test_softmax_in_place_is_bit_identical(dtype):
     scores = (RNG.standard_normal((4, 9, 9)) * 5).astype(dtype)
-    before = scores.copy()
     expected = _old_softmax_rows(scores)
-    fresh = _softmax_rows(scores)
-    assert np.array_equal(scores, before)
-    assert np.array_equal(fresh, expected)
-    in_place = _softmax_rows(scores, out=scores)
+    in_place = _softmax_rows(scores)
     assert in_place is scores
     assert np.array_equal(in_place, expected)
 
@@ -173,7 +169,11 @@ def test_attention_backward_matches_a_row_major_reference(inputs):
                   (np.abs(dctx) * (attn @ np.abs(v))).sum(axis=-1))
     dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
     want = (dscores @ k * scale, dscores.transpose(0, 2, 1) @ q, attn.transpose(0, 2, 1) @ dctx)
-    ds_size = attn * (np.abs(dattn) + (np.abs(dattn) * attn).sum(axis=-1, keepdims=True))
+    # the row term enters twice: the reference sums dattn * attn, the kernel
+    # dctx * ctx_h, the same dot product in another order; where they cancel
+    # to 0 (a one-hot query) their rounding is bounded by |dctx| · (attn @ |v|)
+    ds_size = attn * (np.abs(dattn) + (np.abs(dattn) * attn).sum(axis=-1, keepdims=True)
+                      + (np.abs(dctx) * (attn @ np.abs(v))).sum(axis=-1, keepdims=True))
     sizes = (ds_size @ np.abs(k) * scale, ds_size.transpose(0, 2, 1) @ np.abs(q),
              attn.transpose(0, 2, 1) @ np.abs(dctx))
     got = _attention_backward(dctx, q, k, v, attn_t, ctx_h, scale)

@@ -11,14 +11,11 @@ from efpc.model import (
     ModelConfig,
     TokenizedExample,
     backward_detailed,
-    ce_grad_logits,
-    ce_rows,
-    forward_loss,
     init_params,
 )
-from efpc.model.losses import ce_loss
+from efpc.model.losses import ce_loss_and_grad, ce_rows
 
-from helpers import loss_agnostic, loss_drop, loss_mask
+from helpers import forward_loss, loss_agnostic, loss_drop, loss_mask
 
 LN2 = math.log(2.0)
 
@@ -116,13 +113,13 @@ def test_ce_rows_contracts():
 
 def test_grad_logits_single_row():
     probs = probs_for([0.8])
-    grad = ce_grad_logits(probs, np.array([1]), 0)
+    grad = ce_loss_and_grad("agnostic", probs, np.array([1]), 0)[1]
     assert np.allclose(grad, [[0.8 - 1.0, 0.2]], atol=1e-15)
 
 
 def test_grad_logits_excluded_rows_are_zero():
     probs = probs_for([0.9, 0.8, 0.7])
-    grad = ce_grad_logits(probs, np.array([1, 0]), 1)
+    grad = ce_loss_and_grad("mask", probs, np.array([1, 0]), 1)[1]
     assert np.array_equal(grad[0], [0.0, 0.0])
     # included rows divide by the included count, not the total length
     assert grad[1] == pytest.approx([(0.8 - 1.0) / 2, 0.2 / 2])
@@ -130,7 +127,7 @@ def test_grad_logits_excluded_rows_are_zero():
 
 def test_grad_logits_zero_where_clamped():
     probs = probs_for([1.0, 0.5])
-    grad = ce_grad_logits(probs, np.array([0, 1]), 0)
+    grad = ce_loss_and_grad("agnostic", probs, np.array([0, 1]), 0)[1]
     assert np.array_equal(grad[0], [0.0, 0.0])
     assert np.abs(grad[1]).sum() > 0
 
@@ -147,7 +144,7 @@ def test_grad_matches_finite_difference_of_loss():
     labels = rng.integers(0, 2, 4)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
-    analytic = ce_grad_logits(probs, labels, 2)
+    analytic = ce_loss_and_grad("mask", probs, labels, 2)[1]
     eps = 1e-6
     for i in range(6):
         for j in range(2):
@@ -187,14 +184,34 @@ def _error(fn, *args):
     return type(info.value), str(info.value)
 
 
+def _two_pass_reference(variant, probs, labels, boundary):
+    """The loss and logit gradient as two separate passes over the rows,
+    each picking the true-class probability its own way."""
+    start, row_labels = ce_rows(variant, labels, boundary)
+    block = probs[start:]
+    p_true = np.where(row_labels == 1, block[:, 0], block[:, 1])
+    loss = float(np.mean(-np.log(np.clip(p_true, 1e-12, 1.0 - 1e-12))))
+    rows = np.arange(len(block))
+    cols = np.where(row_labels == 1, 0, 1)
+    onehot = np.zeros_like(block)
+    onehot[rows, cols] = 1.0
+    picked = block[rows, cols]
+    live = ((picked > 1e-12) & (picked < 1.0 - 1e-12)).astype(block.dtype)
+    grad = np.zeros_like(probs)
+    grad[start:] = (block - onehot) * live[:, None] / len(block)
+    return loss, grad
+
+
 @settings(max_examples=60, deadline=None)
-@given(_loss_cases())
-def test_public_losses_are_ce_loss(case):
+@given(_loss_cases(), st.sampled_from(LOSS_VARIANTS))
+def test_loss_and_gradient_match_a_two_pass_reference_bit_for_bit(case, variant):
     probs, labels, boundary, _ = case
-    assert loss_mask(probs, labels, boundary) == ce_loss("mask", probs, labels, boundary)
-    assert loss_drop(probs, labels, boundary) == ce_loss("drop", probs, labels, boundary)
-    if boundary == 0:
-        assert loss_agnostic(probs, labels) == ce_loss("agnostic", probs, labels, 0)
+    if variant == "agnostic":
+        boundary, probs = 0, probs[boundary:]
+    loss, grad = ce_loss_and_grad(variant, probs, labels, boundary)
+    ref_loss, ref_grad = _two_pass_reference(variant, probs, labels, boundary)
+    assert loss == ref_loss
+    assert np.array_equal(grad, ref_grad)
 
 
 @settings(max_examples=40, deadline=None)
@@ -202,7 +219,7 @@ def test_public_losses_are_ce_loss(case):
 def test_unknown_variant_raises_the_same_error_everywhere(case, variant):
     probs, labels, boundary, example = case
     errors = {
-        _error(ce_loss, variant, probs, labels, boundary),
+        _error(ce_loss_and_grad, variant, probs, labels, boundary),
         _error(forward_loss, TINY_PARAMS, TINY, example, variant),
         _error(backward_detailed, TINY_PARAMS, TINY, example, variant),
     }
@@ -214,7 +231,7 @@ def test_unknown_variant_raises_the_same_error_everywhere(case, variant):
 def test_agnostic_loss_on_a_prefixed_example_raises_the_same_error_everywhere(case):
     probs, labels, boundary, example = case
     errors = {
-        _error(ce_loss, "agnostic", probs, labels, boundary),
+        _error(ce_loss_and_grad, "agnostic", probs, labels, boundary),
         _error(forward_loss, TINY_PARAMS, TINY, example, "agnostic"),
         _error(backward_detailed, TINY_PARAMS, TINY, example, "agnostic"),
     }

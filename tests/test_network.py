@@ -13,12 +13,13 @@ from efpc.model import (
     backward_detailed,
     classify,
     encode,
-    forward_loss,
     init_params,
     tokenize_words,
     vocab_from_words,
 )
 from efpc.model import network
+
+from helpers import forward_loss
 
 CFG = ModelConfig(
     vocab_size=20, embed_dim=16, num_layers=2, num_heads=4, ffn_dim=32,
@@ -158,13 +159,6 @@ def test_ops_are_looked_up_by_name_once_per_layer(params, monkeypatch):
     backward_detailed(params, CFG, tokenize_words(vocab, ["a"], ["b", "c"], [1, 0]))
     assert calls["_self_attention_backward"] == calls["_ffn_backward"] == CFG.num_layers
     assert calls["_layer_norm_backward"] == 2 * CFG.num_layers
-
-
-def test_forward_loss_rejects_an_unknown_variant(params):
-    vocab = vocab_from_words(list("abcdefgh"))
-    ex = tokenize_words(vocab, ["a"], ["b", "c"], [1, 0])
-    with pytest.raises(ValueError, match="unknown loss variant 'focal'"):
-        forward_loss(params, CFG, ex, "focal")
 
 
 def test_gradients_flow_to_used_embeddings_only(params):

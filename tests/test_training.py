@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def test_learns_stopword_rule_to_perfection():
                          loss_variant="agnostic", seed=2)
     trained, report = train(model, train_set, config)
     assert len(report.epochs) == 10
-    assert report.final.token_accuracy > 0.95
+    assert report.epochs[-1].token_accuracy > 0.95
     acc, per_example = token_accuracy(trained, test_set, "agnostic")
     assert acc == pytest.approx(1.0)
     assert len(per_example) == 40
@@ -68,7 +69,7 @@ def test_loss_decreases_over_epochs():
                         ffn_dim=32, seed=8)
     _, report = train(model, data, fast_train_config(
         epochs=6, loss_variant="agnostic", learning_rate=2e-3))
-    assert report.final.loss < report.epochs[0].loss
+    assert report.epochs[-1].loss < report.epochs[0].loss
 
 
 def test_incremental_training_continues_from_loaded_weights():
@@ -122,7 +123,7 @@ def test_long_examples_are_windowed_for_training():
     assert [len(ex.token_ids) for ex in prepared] == [16, 16, 8]
     trained, report = train(model, data, fast_train_config(
         epochs=1, loss_variant="agnostic"))
-    assert np.isfinite(report.final.loss)
+    assert np.isfinite(report.epochs[-1].loss)
 
 
 def test_divergent_loss_stops_training_naming_epoch_and_batch():
@@ -130,7 +131,7 @@ def test_divergent_loss_stops_training_naming_epoch_and_batch():
     model = small_model(data, embed_dim=16, num_layers=1, num_heads=2, ffn_dim=32)
     cls_b = model.params["cls_b"].copy()
     cls_b[0] = np.nan
-    poisoned = model.with_params(ModelParams({**model.params.tensors, "cls_b": cls_b}))
+    poisoned = replace(model, params=ModelParams({**model.params.tensors, "cls_b": cls_b}))
     with pytest.raises(NumericalDivergence, match=r"^epoch 0 batch 0: loss is nan$"):
         train(poisoned, data, fast_train_config(batch_size=2, loss_variant="agnostic"))
 
