@@ -1,11 +1,8 @@
 """Drive chunk-level compression through an LLM provider.
 
 Two providers ship with the package: an HTTP chat-completion client for
-OpenAI-compatible endpoints, and a deterministic rule-based mock so the
-whole pipeline runs offline. The mock drops stopwords; when the request
-carries a task, it first discards sentences that share no content word
-with it, which yields much higher compression ratios than the task-free
-mode.
+OpenAI-compatible endpoints, and a deterministic rule-based mock
+(:class:`MockProvider`) so the whole pipeline runs offline.
 
 The directive wording in :data:`COMPRESSION_DIRECTIVE` is this project's
 own choice and can be adjusted; the mock provider parses the same
@@ -22,7 +19,8 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Protocol, Sequence
+from typing import ClassVar, Protocol, Sequence
+from urllib.parse import urlsplit
 
 from ._util import read_jsonl, write_jsonl
 from .errors import (
@@ -36,6 +34,8 @@ from .text_core import chunk_document, normalize_word, sentence_ranges, split_wo
 logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "EFPC_API_KEY"
+REQUEST_TIMEOUT = 60.0  # seconds per attempt
+MAX_HISTOGRAM_BINS = 10_000  # `stats` prints one line per bin
 
 COMPRESSION_DIRECTIVE = (
     "Compress the text below into as few words as possible while keeping "
@@ -112,14 +112,9 @@ def build_compression_request(instruction: str, chunk: str) -> list[dict[str, st
 def _parse_request(content: str) -> tuple[str, str]:
     """Recover (instruction, text) from a message built by this module."""
     head, _, text = content.partition("\nText:\n")
-    if "\nTask:\n" in head:
-        instruction = head.split("\nTask:\n", 1)[1].rstrip("\n")
-    else:
-        instruction = ""
-    return instruction, text
+    return head.partition("\nTask:\n")[2].rstrip("\n"), text
 
 
-@dataclass(frozen=True)
 class MockProvider:
     """Deterministic offline provider.
 
@@ -130,7 +125,7 @@ class MockProvider:
     are always an in-order subset of the input words.
     """
 
-    provider_id: str = "mock"
+    provider_id: ClassVar[str] = "mock"
 
     def complete(self, messages: list[dict[str, str]]) -> str:
         instruction, text = _parse_request(messages[-1]["content"])
@@ -156,60 +151,64 @@ class MockProvider:
         return " ".join(kept)
 
 
-# client errors that a later attempt can succeed on: request timeout, rate limit
-_RETRIED_4XX = frozenset({408, 429})
+_RETRIED_4XX = frozenset({408, 429})  # request timeout, rate limit: a retry can succeed
 
 
 @dataclass
 class HttpProvider:
-    """OpenAI-compatible chat-completion client.
+    """OpenAI-compatible chat-completion client on the standard library.
 
-    Posts to ``base_url`` exactly as configured (include the full endpoint
-    path, e.g. ``https://host/v1/chat/completions``). The bearer credential
-    is read from the environment variable named by ``api_key_env``.
-    Transient failures (connection errors, HTTP 408, 429 and 5xx, and
-    malformed replies) are retried with exponential backoff starting at
-    one second; any other 4xx status fails at once.
+    Posts to ``base_url``, an ``http`` or ``https`` URL with the full endpoint
+    path, with the bearer key read from :data:`API_KEY_ENV` at request time.
+    Connection errors, timeouts, HTTP 408, 429 and 5xx, and malformed replies
+    are retried, the delay doubling from ``retry_delay``; other 4xx fail at once.
     """
 
     base_url: str
     model_name: str
-    provider_id: str = "http"
-    request_timeout: float = 60.0
     max_retries: int = 3
     retry_delay: float = 1.0
-    api_key_env: str = API_KEY_ENV
+    provider_id: ClassVar[str] = "http"
+
+    def __post_init__(self):
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be an http or https URL, got {self.base_url!r}")
 
     def complete(self, messages: list[dict[str, str]]) -> str:
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
 
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.api_key_env, "")
+        headers = {"Content-Type": "application/json", "User-Agent": "efpc"}
+        key = os.environ.get(API_KEY_ENV, "")
         if key:
             headers["Authorization"] = f"Bearer {key}"
         body = {"model": self.model_name, "messages": messages, "temperature": 0}
+        request = urllib.request.Request(self.base_url, json.dumps(body).encode(), headers)
         delay = self.retry_delay
         last: Exception | None = None
         for attempt in range(self.max_retries):
             try:
-                resp = requests.post(
-                    self.base_url,
-                    data=json.dumps(body).encode("utf-8"),
-                    headers=headers,
-                    timeout=self.request_timeout,
-                )
-                if 400 <= resp.status_code < 500 and resp.status_code not in _RETRIED_4XX:
+                with urllib.request.urlopen(request, timeout=REQUEST_TIMEOUT) as resp:
+                    payload = json.loads(resp.read())
+                content = payload["choices"][0]["message"]["content"]
+                if isinstance(content, str):
+                    return content
+                last = TypeError(f"reply content is {type(content).__name__}")
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                if 400 <= exc.code < 500 and exc.code not in _RETRIED_4XX:
                     raise TransportError(
-                        f"request rejected with HTTP {resp.status_code} {resp.reason}; not retried"
-                    )
-                resp.raise_for_status()
-                payload = resp.json()
-                return payload["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
+                        f"request rejected with HTTP {exc.code} {exc.reason}; not retried"
+                    ) from None
                 last = exc
-                if attempt + 1 < self.max_retries:
-                    time.sleep(delay)
-                    delay *= 2
+            # HTTPException: a reply http.client cannot parse, e.g. a bad status line
+            except (OSError, http.client.HTTPException, LookupError, TypeError, ValueError) as exc:
+                last = exc
+            if attempt + 1 < self.max_retries:
+                time.sleep(delay)
+                delay *= 2
         raise TransportError(f"request failed after {self.max_retries} attempts: {last!r}")
 
 
@@ -303,12 +302,13 @@ def ratio_histogram(dataset: DistilledDataset, bin_width: float = 1.0) -> RatioH
     ratios = [p.ratio for p in dataset.pairs]
     if not ratios:
         raise EmptyDataset("dataset has no pairs")
-    indices = [max(0, int((r - 1.0) // bin_width)) for r in ratios]
-    n_bins = max(indices) + 1
-    counts = [0] * n_bins
-    for i in indices:
-        counts[i] += 1
-    edges = tuple(1.0 + k * bin_width for k in range(n_bins + 1))
+    n_bins = max(0.0, (max(ratios) - 1.0) // bin_width) + 1  # a float: may be huge or inf
+    if n_bins > MAX_HISTOGRAM_BINS:
+        raise ValueError(f"bin_width {bin_width} makes {n_bins:g} bins, over {MAX_HISTOGRAM_BINS}")
+    counts = [0] * int(n_bins)
+    for r in ratios:
+        counts[max(0, int((r - 1.0) // bin_width))] += 1
+    edges = tuple(1.0 + k * bin_width for k in range(len(counts) + 1))
     return RatioHistogram(
         bin_edges=edges,
         counts=tuple(counts),

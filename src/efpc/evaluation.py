@@ -13,7 +13,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from ._util import round_half_up
 from .align import LabeledExample
@@ -150,7 +150,6 @@ def bleu(candidate: str, references: Sequence[str], max_n: int = 4) -> float:
 class QARecord:
     question: str
     gold_answers: tuple[str, ...]
-    predicted: str = ""
 
     def __post_init__(self):
         if not self.gold_answers:
@@ -184,7 +183,7 @@ class ContextAnswerTarget:
     """
 
     max_words: int = 8
-    provider_id: str = "context-answer"
+    provider_id: ClassVar[str] = "context-answer"
 
     def __post_init__(self):
         if self.max_words < 1:

@@ -12,8 +12,8 @@ as it was, so this gives the dense result while the step's cost follows
 the rows the data uses rather than the vocabulary size.
 
 Training stops with NumericalDivergence at the first example whose loss,
-or batch whose gradient, is not finite, rather than carrying NaNs on to
-the end.
+or batch whose gradient or stepped parameters, is not finite, rather than
+carrying NaNs on to the end.
 
 Incremental training is just calling train() on a loaded model; joint
 training is calling it on the concatenation of the datasets.
@@ -81,7 +81,7 @@ def _batch_accuracy(probs: np.ndarray, example: TokenizedExample) -> tuple[int, 
     return int((predicted == labels).sum()), len(labels)
 
 
-# a non-finite loss or gradient stops training with NumericalDivergence,
+# a non-finite loss, gradient or parameter stops training with NumericalDivergence,
 # so numpy's overflow warnings on the way there would only be noise
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(
@@ -137,6 +137,11 @@ def train(
                     )
                 g /= len(batch)
             params, state = adam_step(params, grads, state, config)
+            for k, t in params.tensors.items():
+                if not np.isfinite(t).all():
+                    raise NumericalDivergence(
+                        f"epoch {epoch} batch {batch_no}: {k} is not finite after the step"
+                    )
             for g in grads.values():
                 g.fill(0)
         stats.append(

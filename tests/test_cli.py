@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -526,6 +527,20 @@ def test_divergent_training_exits_two_and_writes_no_checkpoint(tmp_path, capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["labeled.jsonl"]
 
 
+def test_overflowing_step_exits_two_and_writes_no_checkpoint(tmp_path, capsys):
+    data = tmp_path / "labeled.jsonl"
+    data.write_text(json.dumps({"original_words": ["dogs", "bark", "at", "night"],
+                                "labels": [1, 1, 0, 1], "boundary_m": 0}) + "\n")
+    out = tmp_path / "m.ckpt"
+    code = run_cli(["train", "--data", str(data), "--out", str(out), "--lr", "1e300",
+                    "--epochs", "1", "--embed-dim", "16", "--layers", "1", "--heads", "2",
+                    "--ffn-dim", "32"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: epoch 0 batch 0: \S+ is not finite after the step\n", err), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["labeled.jsonl"]
+
+
 @pytest.mark.parametrize("argv", [
     ["compress", "--checkpoint", "{ckpt}", "--input", "{dir}", "--ratio", "0.5"],
     ["distill", "--corpus", "{corpus}", "--out", "{dir}", "--mock"],
@@ -587,6 +602,27 @@ def test_out_of_range_numeric_flag_exits_one_naming_it(pipeline, tmp_path, capsy
     assert run_cli(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_stats_bin_width_too_small_exits_one(tmp_path, capsys):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps({"original": "a b c", "compressed": "a", "ratio": 3.0}) + "\n")
+    assert run_cli(["stats", "--dataset", str(pairs), "--bin-width", "1e-300"]) == 1
+    assert capsys.readouterr().err == "error: bin_width 1e-300 makes 2e+300 bins, over 10000\n"
+
+
+@pytest.mark.parametrize("url", ["notaurl", "file:///dev/null"])
+def test_live_distill_with_a_non_http_url_exits_one_at_once(tmp_path, capsys, url):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the cat sat on the mat")
+    out = tmp_path / "pairs.jsonl"
+    started = time.perf_counter()
+    code = run_cli(["distill", "--live", "--base-url", url, "--model-name", "m",
+                    "--corpus", str(corpus), "--out", str(out)])
+    assert code == 1
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == f"error: base_url must be an http or https URL, got {url!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt"]
 
 
 def test_bad_config_file_exits_one(tmp_path, capsys):

@@ -1,12 +1,14 @@
 import http.server
 import json
 import os
+import re
 import threading
 
 import pytest
 
 from efpc.distill import (
     COMPRESSION_DIRECTIVE,
+    MAX_HISTOGRAM_BINS,
     DistilledDataset,
     DistilledPair,
     HttpProvider,
@@ -212,24 +214,42 @@ def test_ratio_histogram_validates():
             ratio_histogram(_pairs([2.0]), bin_width=width)
 
 
+@pytest.mark.parametrize("width, bins", [(1e-300, "2e+300"), (1e-9, "2e+09")])
+def test_ratio_histogram_refuses_too_many_bins(width, bins):
+    with pytest.raises(ValueError,
+                       match=rf"^bin_width {width} makes {re.escape(bins)} bins, over 10000$"):
+        ratio_histogram(_pairs([1.5, 3.0]), bin_width=width)
+
+
+def test_ratio_histogram_allows_the_bin_limit():
+    top = 1.0 + MAX_HISTOGRAM_BINS
+    assert len(ratio_histogram(_pairs([top - 0.5])).counts) == MAX_HISTOGRAM_BINS
+    with pytest.raises(ValueError, match=f"makes {MAX_HISTOGRAM_BINS + 1} bins"):
+        ratio_histogram(_pairs([top + 0.5]))
+
+
 # --------------------------------------------------------- HTTP provider
 
 
 class _ChatHandler(http.server.BaseHTTPRequestHandler):
     fail_first = 0
-    # what each of the first fail_first requests gets: an HTTP status, or
-    # a 200 whose body is this string
+    # what each of the first fail_first requests gets: an HTTP status, a
+    # 200 whose body is this string, or these raw bytes in place of a reply
     failure = 500
     requests_seen = []
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).requests_seen.append(
-            {"body": body, "auth": self.headers.get("Authorization")}
+            {"body": body, "auth": self.headers.get("Authorization"),
+             "agent": self.headers.get("User-Agent")}
         )
         reply = json.dumps({"choices": [{"message": {"content": "compressed words"}}]})
         if type(self).fail_first > 0:
             type(self).fail_first -= 1
+            if isinstance(type(self).failure, bytes):
+                self.wfile.write(type(self).failure)
+                return
             if isinstance(type(self).failure, int):
                 self.send_response(type(self).failure)
                 self.send_header("Content-Length", "0")
@@ -330,7 +350,6 @@ def test_http_provider_unreachable_host():
         model_name="m",
         retry_delay=0.01,
         max_retries=2,
-        request_timeout=0.5,
     )
     with pytest.raises(TransportError):
         provider.complete([{"role": "user", "content": "x"}])
@@ -342,3 +361,55 @@ def test_api_key_never_read_for_mock(monkeypatch):
     mock = MockProvider()
     msgs = build_compression_request("", _chunk("The cat sat."))
     assert mock.complete(msgs) == "cat sat."
+
+
+def test_http_provider_sends_a_fixed_user_agent(chat_server):
+    HttpProvider(base_url=chat_server, model_name="m").complete([{"role": "user", "content": "x"}])
+    assert _ChatHandler.requests_seen[-1]["agent"] == "efpc"
+
+
+@pytest.mark.parametrize("url", ["notaurl", "ftp://127.0.0.1/chat", "http://", "/v1/chat"])
+def test_http_provider_refuses_non_http_urls(url):
+    with pytest.raises(ValueError, match=f"^base_url must be an http or https URL, got {url!r}$"):
+        HttpProvider(base_url=url, model_name="m")
+
+
+def test_http_provider_refuses_file_urls(tmp_path):
+    # urllib would open this and return the file's content as the completion
+    reply = tmp_path / "reply.json"
+    reply.write_text(json.dumps({"choices": [{"message": {"content": "local file"}}]}))
+    with pytest.raises(ValueError, match="must be an http or https URL"):
+        HttpProvider(base_url=reply.as_uri(), model_name="m")
+
+
+def test_http_provider_retries_a_malformed_status_line(chat_server):
+    _ChatHandler.fail_first = 99
+    _ChatHandler.failure = b"garbage\r\n\r\n"
+    provider = HttpProvider(
+        base_url=chat_server, model_name="m", retry_delay=0.01, max_retries=2
+    )
+    with pytest.raises(TransportError, match="^request failed after 2 attempts: BadStatusLine"):
+        provider.complete([{"role": "user", "content": "x"}])
+    assert len(_ChatHandler.requests_seen) == 2
+
+
+def test_http_provider_retries_a_reply_whose_content_is_not_text(chat_server):
+    _ChatHandler.fail_first = 1
+    _ChatHandler.failure = '{"choices": [{"message": {"content": null}}]}'
+    provider = HttpProvider(
+        base_url=chat_server, model_name="m", retry_delay=0.01, max_retries=2
+    )
+    assert provider.complete([{"role": "user", "content": "x"}]) == "compressed words"
+    assert len(_ChatHandler.requests_seen) == 2
+
+
+@pytest.mark.parametrize("failure", [500, 401, b"garbage\r\n\r\n", None])
+def test_transport_errors_never_carry_the_api_key(chat_server, monkeypatch, failure):
+    monkeypatch.setenv("EFPC_API_KEY", "sk-secret-4711")
+    _ChatHandler.fail_first = 99
+    _ChatHandler.failure = failure
+    url = "http://127.0.0.1:9/nothing" if failure is None else chat_server
+    provider = HttpProvider(base_url=url, model_name="m", retry_delay=0.01, max_retries=2)
+    with pytest.raises(TransportError) as info:
+        provider.complete([{"role": "user", "content": "x"}])
+    assert "sk-secret-4711" not in str(info.value)

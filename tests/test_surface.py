@@ -1,9 +1,17 @@
-"""The model package's re-export list holds only names that some file of
-the project imports through ``efpc.model``, so it cannot grow back into a
-second API surface nobody reads."""
+"""Guards on the package's surface: the model package's re-export list
+holds only names that some file of the project imports through
+``efpc.model``, so it cannot grow back into a second API surface nobody
+reads; the third-party imports in ``src`` are exactly the declared
+dependencies; and importing the CLI loads no HTTP or TLS machinery."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -48,3 +56,31 @@ def test_model_package_reexports_only_names_imported_through_it():
     unused = _reexports() - _names_imported_through_model()
     assert not unused, f"efpc/model/__init__.py re-exports names nothing imports: {sorted(unused)}"
 
+
+
+def _third_party_imports() -> set[str]:
+    names = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"efpc"}
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]}
+    assert _third_party_imports() == declared
+
+
+def test_importing_the_cli_loads_no_http_client():
+    # the live provider imports these when it sends its first request
+    probe = "import sys, efpc.cli; print(*{'urllib.request', 'ssl', 'requests'} & {*sys.modules})"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

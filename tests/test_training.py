@@ -147,6 +147,18 @@ def test_huge_learning_rate_stops_training_naming_epoch_and_batch():
                                              loss_variant="agnostic"))
 
 
+def test_non_finite_parameters_after_a_step_stop_training():
+    # at this rate the gradients are finite but Adam's step overflows float32
+    data = parity_examples(10, 1)
+    model = small_model(data)
+    before = {k: t.copy() for k, t in model.params.tensors.items()}
+    with pytest.raises(NumericalDivergence,
+                       match=r"^epoch 0 batch 0: \S+ is not finite after the step$"):
+        train(model, data, fast_train_config(learning_rate=1e300, epochs=1))
+    for k, t in model.params.tensors.items():
+        np.testing.assert_array_equal(t, before[k])
+
+
 def test_non_finite_gradient_stops_training_before_the_update(monkeypatch):
     data = toy_rule_examples(6, 3)
     model = small_model(data, embed_dim=16, num_layers=1, num_heads=2, ffn_dim=32)
