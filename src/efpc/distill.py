@@ -161,7 +161,7 @@ class HttpProvider:
     Posts to ``base_url``, an ``http`` or ``https`` URL with the full endpoint
     path, with the bearer key read from :data:`API_KEY_ENV` at request time.
     Connection errors, timeouts, HTTP 408, 429 and 5xx, and malformed replies
-    are retried, the delay doubling from ``retry_delay``; other 4xx fail at once.
+    are retried, the delay doubling from ``retry_delay``; other 3xx and 4xx fail at once.
     """
 
     base_url: str
@@ -186,11 +186,16 @@ class HttpProvider:
             headers["Authorization"] = f"Bearer {key}"
         body = {"model": self.model_name, "messages": messages, "temperature": 0}
         request = urllib.request.Request(self.base_url, json.dumps(body).encode(), headers)
+        # urllib would resend the key to any redirect's Location: another host, http, ftp
+        class RefuseRedirect(urllib.request.HTTPRedirectHandler):
+            def redirect_request(self, *args):  # no new request: the 3xx raises HTTPError
+                return None
+        opener = urllib.request.build_opener(RefuseRedirect)
         delay = self.retry_delay
         last: Exception | None = None
         for attempt in range(self.max_retries):
             try:
-                with urllib.request.urlopen(request, timeout=REQUEST_TIMEOUT) as resp:
+                with opener.open(request, timeout=REQUEST_TIMEOUT) as resp:
                     payload = json.loads(resp.read())
                 content = payload["choices"][0]["message"]["content"]
                 if isinstance(content, str):
@@ -198,7 +203,7 @@ class HttpProvider:
                 last = TypeError(f"reply content is {type(content).__name__}")
             except urllib.error.HTTPError as exc:
                 exc.close()
-                if 400 <= exc.code < 500 and exc.code not in _RETRIED_4XX:
+                if exc.code < 500 and exc.code not in _RETRIED_4XX:
                     raise TransportError(
                         f"request rejected with HTTP {exc.code} {exc.reason}; not retried"
                     ) from None

@@ -509,7 +509,11 @@ def test_wrong_kind_config_value_exits_one_naming_section_and_key(pipeline, tmp_
     assert not out.exists()
 
 
-def test_divergent_training_exits_two_and_writes_no_checkpoint(tmp_path, capsys):
+@pytest.mark.parametrize("lr, message", [
+    ("1e9", r"(loss is nan|\S+ gradient is not finite)"),
+    ("1e300", r"\S+ is not finite after the step"),  # the step overflows the parameters
+])
+def test_divergent_training_exits_two_and_writes_no_checkpoint(tmp_path, capsys, lr, message):
     data = tmp_path / "labeled.jsonl"
     data.write_text(
         json.dumps({"instruction": "who", "original_words": ["the", "cat", "sat", "down"],
@@ -518,26 +522,11 @@ def test_divergent_training_exits_two_and_writes_no_checkpoint(tmp_path, capsys)
                       "labels": [1, 1, 0, 1], "boundary_m": 0}) + "\n"
     )
     out = tmp_path / "m.ckpt"
-    code = run_cli(["train", "--data", str(data), "--out", str(out), "--lr", "1e9",
+    code = run_cli(["train", "--data", str(data), "--out", str(out), "--lr", lr,
                     "--embed-dim", "16", "--layers", "1", "--heads", "2", "--ffn-dim", "32"])
     assert code == 2
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: epoch \d+ batch \d+: (loss is nan|\S+ gradient is not finite)\n",
-                        err), err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["labeled.jsonl"]
-
-
-def test_overflowing_step_exits_two_and_writes_no_checkpoint(tmp_path, capsys):
-    data = tmp_path / "labeled.jsonl"
-    data.write_text(json.dumps({"original_words": ["dogs", "bark", "at", "night"],
-                                "labels": [1, 1, 0, 1], "boundary_m": 0}) + "\n")
-    out = tmp_path / "m.ckpt"
-    code = run_cli(["train", "--data", str(data), "--out", str(out), "--lr", "1e300",
-                    "--epochs", "1", "--embed-dim", "16", "--layers", "1", "--heads", "2",
-                    "--ffn-dim", "32"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"error: epoch 0 batch 0: \S+ is not finite after the step\n", err), err
+    assert re.fullmatch(rf"error: epoch \d+ batch \d+: {message}\n", err), err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["labeled.jsonl"]
 
 
@@ -587,11 +576,12 @@ def test_non_finite_learning_rate_exits_one_naming_it(pipeline, tmp_path, capsys
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["stats", "--bin-width", "nan"], "bin_width must be a finite positive number, got nan"),
+    (["stats", "--bin-width", "nan"], r"bin_width must be a finite positive number, got nan"),
+    (["stats", "--bin-width", "1e-300"], r"bin_width 1e-300 makes \S+ bins, over 10000"),
     (["label", "--min-match-rate", "nan", "--out", "{out}"],
-     "min_match_rate must be within [0, 1], got nan"),
+     r"min_match_rate must be within \[0, 1\], got nan"),
     (["label", "--min-match-rate", "2", "--out", "{out}"],
-     "min_match_rate must be within [0, 1], got 2.0"),
+     r"min_match_rate must be within \[0, 1\], got 2\.0"),
 ])
 def test_out_of_range_numeric_flag_exits_one_naming_it(pipeline, tmp_path, capsys, argv,
                                                        message):
@@ -600,15 +590,9 @@ def test_out_of_range_numeric_flag_exits_one_naming_it(pipeline, tmp_path, capsy
     flag = "--dataset" if argv[0] == "stats" else "--pairs"
     argv = [a.format(out=out) for a in argv] + [flag, str(pairs)]
     assert run_cli(argv) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: {message}\n", err), err
     assert not out.exists()
-
-
-def test_stats_bin_width_too_small_exits_one(tmp_path, capsys):
-    pairs = tmp_path / "pairs.jsonl"
-    pairs.write_text(json.dumps({"original": "a b c", "compressed": "a", "ratio": 3.0}) + "\n")
-    assert run_cli(["stats", "--dataset", str(pairs), "--bin-width", "1e-300"]) == 1
-    assert capsys.readouterr().err == "error: bin_width 1e-300 makes 2e+300 bins, over 10000\n"
 
 
 @pytest.mark.parametrize("url", ["notaurl", "file:///dev/null"])

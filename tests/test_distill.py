@@ -2,6 +2,7 @@ import http.server
 import json
 import os
 import re
+import socket
 import threading
 
 import pytest
@@ -234,7 +235,8 @@ def test_ratio_histogram_allows_the_bin_limit():
 class _ChatHandler(http.server.BaseHTTPRequestHandler):
     fail_first = 0
     # what each of the first fail_first requests gets: an HTTP status, a
-    # 200 whose body is this string, or these raw bytes in place of a reply
+    # (status, Location) redirect, a 200 whose body is this string, or these
+    # raw bytes in place of a reply
     failure = 500
     requests_seen = []
 
@@ -252,6 +254,13 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
                 return
             if isinstance(type(self).failure, int):
                 self.send_response(type(self).failure)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+                return
+            if isinstance(type(self).failure, tuple):
+                status, location = type(self).failure
+                self.send_response(status)
+                self.send_header("Location", location)
                 self.send_header("Content-Length", "0")
                 self.end_headers()
                 return
@@ -368,18 +377,50 @@ def test_http_provider_sends_a_fixed_user_agent(chat_server):
     assert _ChatHandler.requests_seen[-1]["agent"] == "efpc"
 
 
-@pytest.mark.parametrize("url", ["notaurl", "ftp://127.0.0.1/chat", "http://", "/v1/chat"])
+# urllib would open a file: URL and return the file's content as the completion
+@pytest.mark.parametrize(
+    "url", ["notaurl", "ftp://127.0.0.1/chat", "file:///reply.json", "http://", "/v1/chat"]
+)
 def test_http_provider_refuses_non_http_urls(url):
     with pytest.raises(ValueError, match=f"^base_url must be an http or https URL, got {url!r}$"):
         HttpProvider(base_url=url, model_name="m")
 
 
-def test_http_provider_refuses_file_urls(tmp_path):
-    # urllib would open this and return the file's content as the completion
-    reply = tmp_path / "reply.json"
-    reply.write_text(json.dumps({"choices": [{"message": {"content": "local file"}}]}))
-    with pytest.raises(ValueError, match="must be an http or https URL"):
-        HttpProvider(base_url=reply.as_uri(), model_name="m")
+@pytest.fixture
+def bystander():
+    """A second host: yields its port and the list of connections it accepted."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    accepted = []
+
+    def serve():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            accepted.append(conn)
+            conn.close()  # fail fast instead of hanging a client that got here
+
+    threading.Thread(target=serve, daemon=True).start()
+    yield listener.getsockname()[1], accepted
+    listener.shutdown(socket.SHUT_RDWR)
+    listener.close()
+
+
+@pytest.mark.parametrize("scheme", ["http", "ftp"])
+def test_http_provider_follows_no_redirect(chat_server, bystander, monkeypatch, scheme):
+    # following one would send the bearer key, or the request, to another host
+    monkeypatch.setenv("EFPC_API_KEY", "sk-secret-4711")
+    port, accepted = bystander
+    _ChatHandler.fail_first = 99
+    _ChatHandler.failure = (302, f"{scheme}://127.0.0.1:{port}/v1/chat/completions")
+    provider = HttpProvider(
+        base_url=chat_server, model_name="m", retry_delay=0.01, max_retries=3
+    )
+    with pytest.raises(TransportError, match="^request rejected with HTTP 302 Found; not retried$"):
+        provider.complete([{"role": "user", "content": "x"}])
+    assert len(_ChatHandler.requests_seen) == 1
+    assert accepted == []
 
 
 def test_http_provider_retries_a_malformed_status_line(chat_server):
