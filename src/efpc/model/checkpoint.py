@@ -103,7 +103,10 @@ def load_checkpoint(path) -> Model:
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
     if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
         raise CheckpointError(f"{path}: malformed header (vocab words must be a list of strings)")
-    vocab = vocab_from_word_list(words)
+    try:
+        vocab = vocab_from_word_list(words)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: malformed header ({exc})") from exc
     if vocab.size != config.vocab_size:
         raise CheckpointError(
             f"{path}: malformed header (a vocabulary of {vocab.size} ids "

@@ -19,6 +19,10 @@ Each op (``_layer_norm``, ``_self_attention``, ``_ffn``) returns
 layer norm, ``gamma``). ``_block`` composes the ops into one pre-norm
 block; ``encode`` drops each block's caches as soon as the next block has
 its input, and ``backward_detailed`` keeps them for its backward loop.
+Self-attention caches its weights unnormalised and key-major, as
+``exp`` of the scores with their per-query sums; it shifts the scores by
+their row maximum only when a Cauchy–Schwarz bound says ``exp`` could
+leave the float range (see ``_attention``).
 
 The backward pass mirrors the forward step by step; its correctness is
 pinned by a central-finite-difference test over every parameter of a
@@ -42,6 +46,8 @@ from .tokenizer import TokenizedExample
 _LN_EPS = 1e-5
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
+# largest score magnitude attention exponentiates without the row-max shift
+_SHIFT_BOUND = 20.0
 
 
 def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
@@ -98,38 +104,81 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-head context ``softmax(q @ k.T) @ v`` and the weights, key-major.
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Per-head context ``softmax(q @ k.T) @ v`` and its cache ``(e_t, s)``.
 
     ``q``, ``k`` and ``v`` are (heads, L, head_dim), ``q`` already scaled.
-    The weights come back as ``attn_t`` of shape (heads, key, query), so
-    the softmax over keys reduces along axis 1. numpy reduces a middle
-    axis by combining whole contiguous rows element-wise, which
-    vectorises, but runs one short inner loop per row to reduce the last
-    axis: on a (4, 256, 256) float32 array the max over axis 1 takes
-    about 0.4 times, and the sum about 0.6 times, as long as over the
-    last axis.
+    The weights are kept unnormalised and key-major: ``e_t`` of shape
+    (heads, key, query) holds ``exp`` of the scores and ``s`` of shape
+    (heads, 1, query) their sum over keys, so the weights are ``e_t / s``.
+    The (L, head_dim) context is divided by ``s`` in place of dividing the
+    (L, L) weights. The sum runs along axis 1, which numpy reduces by
+    combining whole contiguous rows element-wise; that vectorises, where
+    reducing the last axis runs one short inner loop per row (on a
+    (4, 256, 256) float32 array it takes about 0.6 times as long).
+
+    Softmax is unchanged by shifting a query's scores, so the row maximum
+    is subtracted only where ``exp`` could leave the float range. By
+    Cauchy–Schwarz no score exceeds ``max‖q‖ · max‖k‖`` over the heads in
+    magnitude, an O(L·head_dim) bound. While it is at most
+    ``_SHIFT_BOUND`` (20), every ``exp`` argument lies in [−20, 20], so each
+    unnormalised weight is at least 2.1e-9 and a query's sum at most
+    4.9e8·L, far inside the normal range of float32 (1.2e-38 to 3.4e38)
+    and float64; ``exp``'s relative rounding does not depend on the shift.
+    There the forward makes four passes over (heads, L, L): matmul, exp,
+    sum and matmul. A freshly initialised model's bound is about 0.25.
+
+    Above the bound, scores far below their row's maximum give weights
+    that underflow into subnormal numbers, whose few significant bits make
+    any reordering of the rounding visible: ``e_t * (x / s)`` is then not
+    within 1e-5 of ``(e_t / s) * x``. So that path normalises the weights
+    as a row-major softmax does, with the max, subtraction and division
+    (seven passes), and caches them with ``s`` all ones.
     """
-    attn_t = k @ q.transpose(0, 2, 1)
-    attn_t -= attn_t.max(axis=1, keepdims=True)
-    np.exp(attn_t, out=attn_t)
-    attn_t /= attn_t.sum(axis=1, keepdims=True)
-    return attn_t.transpose(0, 2, 1) @ v, attn_t
+    # bounded before the (L, L) product evicts q and k from the cache
+    unshifted = _score_bound(q, k) <= _SHIFT_BOUND
+    e_t = k @ q.transpose(0, 2, 1)
+    if unshifted:
+        np.exp(e_t, out=e_t)
+        s = np.add.reduce(e_t, 1, keepdims=True)
+    else:
+        e_t -= e_t.max(axis=1, keepdims=True)
+        np.exp(e_t, out=e_t)
+        e_t /= np.add.reduce(e_t, 1, keepdims=True)
+        s = np.ones((e_t.shape[0], 1, e_t.shape[2]), e_t.dtype)
+    ctx_h = e_t.transpose(0, 2, 1) @ v
+    ctx_h /= s.transpose(0, 2, 1)
+    return ctx_h, (e_t, s)
 
 
-def _attention_backward(dctx, q, k, v, attn_t, ctx_h, scale: float):
+def _score_bound(q: np.ndarray, k: np.ndarray) -> float:
+    """``max‖q_i‖ · max‖k_j‖`` over every head and position, which bounds
+    every score ``q_i · k_j`` in magnitude."""
+    # einsum sums the short head_dim rows about 2.5 times as fast as
+    # (q * q).sum(axis=-1) on (4, 256, 16) float32
+    q_sq = float(np.einsum("hld,hld->hl", q, q).max())
+    return math.sqrt(q_sq * float(np.einsum("hld,hld->hl", k, k).max()))
+
+
+def _attention_backward(dctx, q, k, v, weights, ctx_h, scale: float):
     """Gradients ``(dq, dk, dv)`` through ``_attention`` for the per-head
     context gradient ``dctx``, with ``dq`` taken with respect to the
-    unscaled queries.
+    unscaled queries; ``weights`` is ``_attention``'s cache ``(e_t, s)``.
 
     The softmax backward needs ``rowsum(dattn * attn)`` per query; since
     ``dattn = dctx @ v.T`` and ``attn @ v = ctx_h``, that sum is
     ``rowsum(dctx * ctx_h)``, an O(L·d) product in place of an O(L²) one.
+    The weights' ``1 / s`` is folded into the O(L·d) operands
+    ``dctx' = dctx / s`` and ``row' = rowsum(dctx' * ctx_h)``, so
+    ``ds_t = (v @ dctx'.T − row') * e_t`` and ``dv = e_t @ dctx'`` read the
+    unnormalised weights directly.
     """
-    dv = attn_t @ dctx
+    e_t, s = weights
+    dctx = dctx / s.transpose(0, 2, 1)
+    dv = e_t @ dctx
     ds_t = v @ dctx.transpose(0, 2, 1)
     ds_t -= (dctx * ctx_h).sum(axis=-1)[:, None, :]
-    ds_t *= attn_t
+    ds_t *= e_t
     dq = ds_t.transpose(0, 2, 1) @ k
     dq *= scale
     return dq, ds_t @ q, dv
@@ -142,17 +191,19 @@ def _self_attention(a, wq, wk, wv, wo, heads: int):
     q = _split_heads((a @ wq) * scale, heads)
     k = _split_heads(a @ wk, heads)
     v = _split_heads(a @ wv, heads)
-    ctx_h, attn_t = _attention(q, k, v)
+    ctx_h, weights = _attention(q, k, v)
+    # the merged copy is cached; the backward splits it into per-head views
     ctx = _merge_heads(ctx_h)
-    return ctx @ wo, (a, q, k, v, attn_t, ctx_h, ctx, wq, wk, wv, wo)
+    return ctx @ wo, (a, q, k, v, weights, ctx, wq, wk, wv, wo)
 
 
 def _self_attention_backward(dy: np.ndarray, cache):
     """``(da, dwq, dwk, dwv, dwo)`` for the output gradient ``dy``."""
-    a, q, k, v, attn_t, ctx_h, ctx, wq, wk, wv, wo = cache
-    dctx = _split_heads(dy @ wo.T, q.shape[0])
+    a, q, k, v, weights, ctx, wq, wk, wv, wo = cache
+    heads = q.shape[0]
+    dctx = _split_heads(dy @ wo.T, heads)
     scale = 1.0 / math.sqrt(q.shape[2])
-    dq, dk, dv = _attention_backward(dctx, q, k, v, attn_t, ctx_h, scale)
+    dq, dk, dv = _attention_backward(dctx, q, k, v, weights, _split_heads(ctx, heads), scale)
     dq, dk, dv = (_merge_heads(t) for t in (dq, dk, dv))
     da = dq @ wq.T + dk @ wk.T + dv @ wv.T
     return da, a.T @ dq, a.T @ dk, a.T @ dv, ctx.T @ dy

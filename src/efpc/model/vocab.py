@@ -24,7 +24,11 @@ _NUM_RESERVED = 3
 
 @dataclass(frozen=True)
 class Vocab:
-    """Injective map from normalized words to ids ≥ 3."""
+    """Injective map from normalized words to ids ≥ 3.
+
+    Every key is nonempty and its own normal form (``normalize_word(w) ==
+    w``), which ``encode_words`` relies on.
+    """
 
     word_to_id: dict[str, int]
 
@@ -44,11 +48,22 @@ class Vocab:
         return self.word_to_id.get(key, UNK_ID)
 
     def encode_words(self, words: Sequence[str]) -> list[int]:
-        return [self.encode_word(w) for w in words]
+        """``encode_word`` of each word, probing the table with the raw word
+        first: a key is its own normal form, so a hit is the id
+        ``encode_word`` finds, and only a miss (``None``; ids are ≥ 3, so
+        never falsy) pays for normalizing."""
+        get, encode = self.word_to_id.get, self.encode_word
+        return [get(w) or encode(w) for w in words]
 
 
 def vocab_from_word_list(words: Sequence[str]) -> Vocab:
-    """Rebuild a vocabulary from its serialized id-ordered word list."""
+    """Rebuild a vocabulary from its serialized id-ordered word list.
+
+    Raises ValueError naming the index of the first word that is empty or
+    not its own normal form."""
+    for i, w in enumerate(words):
+        if not w or normalize_word(w) != w:
+            raise ValueError(f"vocab word {i} ({w!r}) is not a normalized word")
     return Vocab(word_to_id={w: _NUM_RESERVED + i for i, w in enumerate(words)})
 
 

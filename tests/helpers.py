@@ -26,6 +26,7 @@ from efpc.model import (
     tensor_shapes,
     vocab_from_words,
 )
+from efpc.model import network
 from efpc.model.losses import ce_loss_and_grad
 
 PARITY_POOL = (
@@ -142,6 +143,18 @@ def forward_loss(
 
 def zeros_like_params(params: ModelParams) -> dict[str, np.ndarray]:
     return {k: np.zeros_like(v) for k, v in params.tensors.items()}
+
+
+def record_score_bounds(monkeypatch, bounds: list) -> None:
+    """Append the score bound of every attention call to ``bounds``; the
+    call takes the row-max shift where it exceeds ``network._SHIFT_BOUND``."""
+    score_bound = network._score_bound
+
+    def recording(q, k):
+        bounds.append(score_bound(q, k))
+        return bounds[-1]
+
+    monkeypatch.setattr(network, "_score_bound", recording)
 
 
 def max_grad_rel_err(

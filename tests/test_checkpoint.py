@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from efpc.errors import CheckpointError, ChecksumMismatch, FormatVersionMismatch
 from efpc.model import MAGIC, ModelConfig, load_checkpoint, save_checkpoint, train
 from efpc.model.params import tensor_count, tensor_shapes
+from efpc.text_core import normalize_word
 
 from helpers import fast_train_config, small_model, toy_rule_examples
 
@@ -163,6 +164,20 @@ def test_vocab_words_that_are_not_a_list_of_strings_are_refused(trained_model, t
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("word", ["", "Foo", "foo,"])
+def test_vocab_word_that_is_not_its_own_normal_form_is_refused(trained_model, tmp_path, word):
+    # encode_words probes the table with raw words, so a key "Foo" would be
+    # reached by the raw word "Foo", which encode_word maps elsewhere
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(trained_model, path)
+    header, tensors = _split(path.read_bytes())
+    header["vocab"]["words"][2] = word
+    body = json.dumps(header).encode()
+    path.write_bytes(_seal(MAGIC + struct.pack("<I", len(body)) + body + tensors))
+    with pytest.raises(CheckpointError, match=r"vocab word 2 \("):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("header", [
     "[" * 100_000 + "]" * 100_000,  # nested past the parser's recursion limit
     '{"format_version": ' + "1" * 5000 + "}",  # past Python's integer digit limit
@@ -283,4 +298,5 @@ def test_any_crafted_header_raises_only_checkpoint_errors(trained_model, tmp_pat
         return
     # what loads is a model whose vocabulary and tensors fit its config
     assert loaded.vocab.size == loaded.config.vocab_size
+    assert all(w and normalize_word(w) == w for w in loaded.vocab.words)
     assert loaded.params["token_emb"].shape[0] == loaded.config.vocab_size

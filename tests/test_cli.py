@@ -1,9 +1,11 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import time
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -347,6 +349,24 @@ def test_corrupt_checkpoint_exits_two(tmp_path, capsys):
                     "--ratio", "0.5"])
     assert code == 2
     assert "checksum" in capsys.readouterr().err.lower()
+
+
+def test_checkpoint_with_a_word_not_in_normal_form_exits_two(pipeline, tmp_path, capsys):
+    *_, ckpt = pipeline
+    blob = ckpt.read_bytes()
+    (n,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12 : 12 + n])
+    header["vocab"]["words"][0] = header["vocab"]["words"][0].upper() + ","
+    body = json.dumps(header).encode()
+    crafted = blob[:8] + struct.pack("<I", len(body)) + body + blob[12 + n : -4]
+    bad = tmp_path / "crafted.ckpt"
+    bad.write_bytes(crafted + struct.pack("<I", zlib.crc32(crafted)))
+    doc = tmp_path / "doc.txt"
+    doc.write_text("some words here")
+    assert run_cli(["compress", "--checkpoint", str(bad), "--input", str(doc),
+                    "--ratio", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "vocab word 0 (" in err, err
 
 
 GOOD_RECORDS = {

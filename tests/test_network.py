@@ -3,12 +3,15 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efpc.errors import SequenceTooLong
 from efpc.model import (
     LOSS_VARIANTS,
     ModelConfig,
     ModelParams,
+    TokenizedExample,
     TrainConfig,
     backward_detailed,
     classify,
@@ -19,7 +22,7 @@ from efpc.model import (
 )
 from efpc.model import network
 
-from helpers import forward_loss
+from helpers import forward_loss, record_score_bounds
 
 CFG = ModelConfig(
     vocab_size=20, embed_dim=16, num_layers=2, num_heads=4, ffn_dim=32,
@@ -221,3 +224,94 @@ def test_config_accepts_numpy_numbers():
     config = ModelConfig(vocab_size=np.int64(20), embed_dim=np.int32(8), num_heads=2)
     assert config.head_dim == 4
     assert TrainConfig(learning_rate=np.float32(1e-3), epochs=np.int64(2)).epochs == 2
+
+
+def test_default_model_takes_the_unshifted_softmax_path(monkeypatch):
+    # the CLI's default model at init sits far below the shift guard's bound,
+    # so its weights must be exactly exp of the raw scores
+    config = ModelConfig(vocab_size=50)
+    params = init_params(config)
+    attention, exact = network._attention, []
+
+    def checking(q, k, v):
+        ctx_h, (e_t, s) = attention(q, k, v)
+        exact.append(np.array_equal(e_t, np.exp(k @ q.transpose(0, 2, 1))))
+        return ctx_h, (e_t, s)
+
+    monkeypatch.setattr(network, "_attention", checking)
+    encode(params, config, np.arange(config.max_seq_len) % config.vocab_size)
+    assert exact == [True] * config.num_layers
+
+
+@st.composite
+def _mixed_precision_cases(draw):
+    """A float64 model whose float32 rounding is exact, an example, its loss
+    variant, and the side of the shift guard each layer's drawn score bound
+    falls on."""
+    heads = draw(st.sampled_from([1, 2, 4]))
+    embed_dim = heads * draw(st.sampled_from([2, 4, 8]))
+    layers = draw(st.integers(1, 3))
+    length = draw(st.integers(1, 24))
+    config = ModelConfig(vocab_size=20, embed_dim=embed_dim, num_layers=layers,
+                         num_heads=heads, ffn_dim=2 * embed_dim, max_seq_len=24,
+                         seed=draw(st.integers(0, 2**16)))
+    ids = draw(st.lists(st.integers(3, 19), min_size=length, max_size=length))
+    variant = draw(st.sampled_from(LOSS_VARIANTS))
+    boundary = 0 if variant == "agnostic" else draw(st.integers(0, length - 1))
+    labels = draw(st.lists(st.integers(0, 1), min_size=length - boundary,
+                           max_size=length - boundary))
+    # bounds on both sides of the guard at 20, far enough from it that the
+    # float32 rounding of the scaled weights cannot move a layer across
+    targets = draw(st.lists(st.floats(0.01, 10.0) | st.floats(40.0, 500.0),
+                            min_size=layers, max_size=layers))
+    params = init_params(config, dtype=np.float64)
+    # scale each layer's wq and wk so its bound max‖q‖·max‖k‖ is the target;
+    # a layer's bound depends on the layers before it, so go in order
+    for i, target in enumerate(targets):
+        bounds = []
+        with pytest.MonkeyPatch.context() as patch:
+            record_score_bounds(patch, bounds)
+            encode(params, config, ids)
+        for name in (f"layer{i}.wq", f"layer{i}.wk"):
+            params[name][...] *= np.sqrt(target / bounds[i])
+    tensors = {name: t.astype(np.float32).astype(np.float64)
+               for name, t in params.tensors.items()}
+    example = TokenizedExample(token_ids=tuple(ids), labels=tuple(labels), boundary=boundary)
+    shifted = [t > network._SHIFT_BOUND for t in targets]
+    return config, ModelParams(tensors), example, variant, shifted
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_precision_cases())
+def test_float32_model_matches_float64(case):
+    """The whole model in float32 against the same parameters in float64.
+
+    The two differ by float32 rounding, which is relative to the size of
+    the terms a value sums, not to the value: a query with one key has a
+    softmax gradient that cancels to exactly 0, and ``cls_b`` sums
+    per-position logit gradients of both signs. Every gradient flows from
+    the same output gradient, so a tensor's terms are bounded by the
+    largest gradient entry of the model, and the tolerance holds each
+    tensor to its own largest entry plus a share of that model-wide size.
+    """
+    config, p64, example, variant, shifted = case
+    p32 = ModelParams({name: t.astype(np.float32) for name, t in p64.tensors.items()})
+    bounds = []
+    with pytest.MonkeyPatch.context() as patch:
+        record_score_bounds(patch, bounds)
+        h32 = encode(p32, config, example.token_ids)
+    assert [b > network._SHIFT_BOUND for b in bounds] == shifted
+    h64 = encode(p64, config, example.token_ids)
+    assert h32.dtype == np.float32
+    assert np.abs(h32 - h64).max() <= 1e-4 * np.abs(h64).max()
+
+    loss32, g32, probs32 = backward_detailed(p32, config, example, variant)
+    loss64, g64, probs64 = backward_detailed(p64, config, example, variant)
+    assert abs(loss32 - loss64) <= 1e-7 * abs(loss64)
+    assert np.abs(probs32 - probs64).max() <= 1e-7
+    model_size = max(np.abs(g).max() for g in g64.values())
+    for name, want in g64.items():
+        got = g32[name]
+        assert got.dtype == np.float32
+        size = np.abs(want).max() + 1e-2 * model_size
+        assert np.abs(got - want).max() <= 1e-3 * size, name

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efpc.align import LabeledExample
 from efpc.errors import EmptyDataset
@@ -6,7 +8,12 @@ from efpc.model import (
     PAD_ID,
     SEP_ID,
     UNK_ID,
+    Model,
+    ModelConfig,
     build_vocab,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
     vocab_from_word_list,
     vocab_from_words,
 )
@@ -69,3 +76,33 @@ def test_build_vocab_covers_instruction_words():
 def test_build_vocab_rejects_empty_dataset():
     with pytest.raises(EmptyDataset):
         build_vocab([])
+
+
+@pytest.mark.parametrize("words, index", [(["cat", ""], 1), (["Cat"], 0), (["cat", "dog,"], 1),
+                                          (["(cat"], 0)])
+def test_word_list_refuses_a_word_that_is_not_its_own_normal_form(words, index):
+    with pytest.raises(ValueError, match=f"^vocab word {index} "):
+        vocab_from_word_list(words)
+
+
+# any text: case, edge punctuation, non-ASCII (lone surrogates cannot be saved as UTF-8)
+_WORDS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
+def _variants(word):
+    return [word, word.upper(), word.title(), f"({word},", f"«{word}»!", f"{word}."]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_WORDS, max_size=12), st.lists(_WORDS, max_size=12))
+def test_encode_words_matches_encode_word(tmp_path_factory, corpus, others):
+    vocab = vocab_from_words(corpus)
+    config = ModelConfig(vocab_size=vocab.size, embed_dim=2, num_layers=0, num_heads=1,
+                         ffn_dim=1, max_seq_len=8)
+    path = tmp_path_factory.mktemp("vocab") / "model.ckpt"
+    save_checkpoint(Model(config=config, vocab=vocab, params=init_params(config)), path)
+    loaded = load_checkpoint(path).vocab
+    assert loaded == vocab
+    words = [v for w in corpus + others + vocab.words for v in _variants(w)]
+    for table in (vocab, loaded):
+        assert table.encode_words(words) == [table.encode_word(w) for w in words]
