@@ -164,7 +164,7 @@ def test_vocab_words_that_are_not_a_list_of_strings_are_refused(trained_model, t
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("word", ["", "Foo", "foo,"])
+@pytest.mark.parametrize("word", ["", "Foo", "foo,", "(foo"])
 def test_vocab_word_that_is_not_its_own_normal_form_is_refused(trained_model, tmp_path, word):
     # encode_words probes the table with raw words, so a key "Foo" would be
     # reached by the raw word "Foo", which encode_word maps elsewhere
