@@ -19,7 +19,7 @@ import inspect
 import json
 import platform
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -74,15 +74,14 @@ class _Parser(argparse.ArgumentParser):
 # ------------------------------------------------------------- run config
 
 # section -> key -> JSON kind of its value (a key of ``_util._KINDS``);
-# ModelConfig and TrainConfig check the model and train values themselves,
-# all but null, which _settings would read as unset
+# the model and train keys are ModelConfig's and TrainConfig's fields, which
+# check their values themselves, all but null, which _settings would read as
+# unset (the vocabulary size comes from the data, not from a setting)
 _SECTION_KEYS = {
     "provider": {"mock": "boolean", "base_url": "string", "model_name": "string",
                  "max_concurrency": "integer", "max_units": "integer"},
-    "model": dict.fromkeys(
-        ("embed_dim", "num_layers", "num_heads", "ffn_dim", "max_seq_len", "seed")
-    ),
-    "train": dict.fromkeys(("learning_rate", "batch_size", "epochs", "loss_variant", "seed")),
+    "model": dict.fromkeys(f.name for f in fields(ModelConfig) if f.name != "vocab_size"),
+    "train": dict.fromkeys(f.name for f in fields(TrainConfig)),
     "compress": {"ratio": "finite number", "budget": "integer", "instruction": "string"},
     "paths": dict.fromkeys(
         ("corpus", "pairs", "labeled", "checkpoint", "report", "out_dir"), "string"
@@ -188,24 +187,13 @@ def _with_default(text: str, fn, name: str) -> str:
     return f"{text} (default {_default(fn, name)})"
 
 
-# config key -> dest of the flag that overrides it, where the names differ
-_FLAG_DEST = {
-    "num_layers": "layers",
-    "num_heads": "heads",
-    "learning_rate": "lr",
-    "loss_variant": "loss",
-}
-
-
 def _settings(cfg: RunConfig, args, section: str) -> dict:
     """Key -> value for each key of a model or train section that a flag or
     the config file sets; the section's seed falls back to the top-level
-    one. Keys set nowhere are left out, so the dataclass default applies."""
+    one. Keys set nowhere are left out, so the dataclass default applies.
+    Each key's flag has the key as its dest."""
     values = getattr(cfg, section)
-    picked = {
-        key: _pick(getattr(args, _FLAG_DEST.get(key, key)), values, key)
-        for key in _SECTION_KEYS[section]
-    }
+    picked = {key: _pick(getattr(args, key), values, key) for key in _SECTION_KEYS[section]}
     if picked["seed"] is None:
         picked["seed"] = cfg.seed
     return {key: value for key, value in picked.items() if value is not None}
@@ -214,13 +202,15 @@ def _settings(cfg: RunConfig, args, section: str) -> dict:
 # ------------------------------------------------------- manifests, reports
 
 
-def _manifest(command: str, settings: dict, cfg: RunConfig, inputs: list) -> dict:
+def _manifest(command: str, settings: dict, cfg: RunConfig, inputs: dict) -> dict:
     """Run record: run id, effective config and its digest, input digests,
-    library versions."""
+    library versions. ``inputs`` maps each input's role, the dest of the
+    flag that names it, to its path."""
     effective_config = {"command": command, **settings, "config": asdict(cfg)}
-    # keyed by basename, not full path, so identical runs in different
-    # directories produce identical manifests and run ids
-    digests = {Path(p).name: sha256_file(p) for p in inputs}
+    # keyed by role, not path, so identical runs in different directories
+    # produce identical manifests and run ids, and two inputs that share a
+    # file name keep a digest each
+    digests = {role: sha256_file(p) for role, p in inputs.items()}
     config_digest = digest_obj(effective_config)
     return {
         "run_id": digest_obj(
@@ -286,7 +276,7 @@ def cmd_distill(args) -> int:
         "max_units": options["max_units"],
         "instruction_override": args.instruction,
     }
-    _write_json(f"{out}.manifest.json", _manifest("distill", settings, cfg, [corpus]))
+    _write_json(f"{out}.manifest.json", _manifest("distill", settings, cfg, {"corpus": corpus}))
     print(f"distilled {len(dataset.pairs)} pairs ({len(dataset.failures)} failures) -> {out}")
     return 0
 
@@ -303,7 +293,7 @@ def cmd_label(args) -> int:
     )
     write_labeled_jsonl(examples, out)
     settings = {"min_match_rate": args.min_match_rate, "task_agnostic": args.task_agnostic}
-    _write_json(f"{out}.manifest.json", _manifest("label", settings, cfg, [pairs_path]))
+    _write_json(f"{out}.manifest.json", _manifest("label", settings, cfg, {"pairs": pairs_path}))
     print(f"labeled {len(examples)} examples -> {out}")
     return 0
 
@@ -327,27 +317,23 @@ def cmd_train(args) -> int:
         "model": asdict(model.config),
         "resume": args.resume,
     }
-    inputs = [data_path] + ([args.resume] if args.resume else [])
+    inputs = {"data": data_path} | ({"resume": args.resume} if args.resume else {})
     _write_json(f"{out}.manifest.json", _manifest("train", settings, cfg, inputs))
     print(f"saved checkpoint -> {out}")
     return 0
 
 
 def _compression_target(cfg: RunConfig, args) -> tuple[float | None, int | None]:
-    ratio = _pick(args.ratio, cfg.compress, "ratio")
-    budget = _pick(args.budget, cfg.compress, "budget")
+    """(ratio, budget), one of them None: a target given by flag replaces
+    the config file's whole target (load_config rejects a file that sets
+    both)."""
     if args.ratio is not None and args.budget is not None:
         raise ConfigValidationError("set only one of --ratio and --budget")
-    if ratio is not None and budget is not None:
-        # flag on one side overrides the config file on the other
-        # (load_config rejects a file that sets both)
-        if args.ratio is not None:
-            budget = None
-        else:
-            ratio = None
-    if ratio is None and budget is None:
-        raise ConfigValidationError("a compression target (ratio or budget) is required")
-    return ratio, budget
+    if args.ratio is not None or args.budget is not None:
+        return args.ratio, args.budget
+    if "ratio" in cfg.compress or "budget" in cfg.compress:
+        return cfg.compress.get("ratio"), cfg.compress.get("budget")
+    raise ConfigValidationError("a compression target (ratio or budget) is required")
 
 
 def cmd_compress(args) -> int:
@@ -366,7 +352,7 @@ def cmd_compress(args) -> int:
     if args.out:
         write_jsonl(args.out, [record])
         settings = {"ratio": ratio, "budget": budget, "instruction": instruction}
-        manifest = _manifest("compress", settings, cfg, [ckpt, input_path])
+        manifest = _manifest("compress", settings, cfg, {"checkpoint": ckpt, "input": input_path})
         _write_json(f"{args.out}.manifest.json", manifest)
         print(f"compressed {result.n_original} -> {result.n_kept} words -> {args.out}")
     else:
@@ -414,7 +400,7 @@ def cmd_eval(args) -> int:
         "task_agnostic": args.task_agnostic,
         "max_answer_words": args.max_answer_words,
     }
-    manifest = _manifest("eval", settings, cfg, [ckpt, data_path])
+    manifest = _manifest("eval", settings, cfg, {"checkpoint": ckpt, "data": data_path})
     doc = _run_identity(manifest) | {
         "metrics": dict(report.metrics)
         | {"n_scored": report.n_scored, "n_failed": report.n_failed},
@@ -443,7 +429,8 @@ def cmd_sweep(args) -> int:
     sweep = data_efficiency_sweep(model, extra, fractions, eval_set, train_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     settings = {"fractions": fractions, "train": asdict(train_cfg)}
-    manifest = _manifest("sweep", settings, cfg, [base, extra_path, eval_path])
+    inputs = {"base_checkpoint": base, "extra": extra_path, "eval_data": eval_path}
+    manifest = _manifest("sweep", settings, cfg, inputs)
     lines = ["fraction\tn_extra\ttoken_accuracy"]
     for i, cell in enumerate(sweep.cells):
         doc = _run_identity(manifest) | {
@@ -487,9 +474,9 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="JSON config file; flags override it")
 
     def training_flags(p):
-        p.add_argument("--loss", choices=LOSS_VARIANTS,
+        p.add_argument("--loss", dest="loss_variant", choices=LOSS_VARIANTS,
                        help=_with_default("loss variant", TrainConfig, "loss_variant"))
-        p.add_argument("--lr", type=float,
+        p.add_argument("--lr", dest="learning_rate", type=float,
                        help=_with_default("learning rate", TrainConfig, "learning_rate"))
         p.add_argument("--batch-size", type=int,
                        help=_with_default("examples per update", TrainConfig, "batch_size"))
@@ -534,9 +521,9 @@ def build_parser() -> _Parser:
     training_flags(p)
     p.add_argument("--embed-dim", type=int,
                    help=_with_default("model width", ModelConfig, "embed_dim"))
-    p.add_argument("--layers", type=int,
+    p.add_argument("--layers", dest="num_layers", type=int,
                    help=_with_default("encoder blocks", ModelConfig, "num_layers"))
-    p.add_argument("--heads", type=int,
+    p.add_argument("--heads", dest="num_heads", type=int,
                    help=_with_default("attention heads", ModelConfig, "num_heads"))
     p.add_argument("--ffn-dim", type=int,
                    help=_with_default("feed-forward width", ModelConfig, "ffn_dim"))

@@ -16,7 +16,7 @@ import numpy as np
 from ._util import round_half_up
 from .errors import EfpcError
 from .model import Model, classify, encode, window_example
-from .align import LabeledExample
+from .model.losses import PRESERVE_COL
 from .text_core import split_words
 
 
@@ -88,22 +88,23 @@ def score_words(model: Model, instruction: str, original: tuple[str, ...]) -> np
     """Preserve probability for every original word.
 
     Inputs longer than the model's window are scored in consecutive
-    windows, the instruction re-prepended to each, and the per-word
+    windows, each led by the instruction, and the per-word
     probabilities concatenated — the result always has exactly one entry
     per original word.
     """
     if len(original) == 0:
         raise ValueError("original text has no words")
-    instr_words = split_words(instruction)
-    carrier = LabeledExample(
-        words=instr_words + original,
-        labels=(0,) * (len(instr_words) + len(original)),
-        boundary_m=len(instr_words),
+    windows = window_example(
+        model.vocab,
+        split_words(instruction),
+        original,
+        (0,) * len(original),
+        model.config.max_seq_len,
     )
     probs: list[np.ndarray] = []
-    for window in window_example(model.vocab, carrier, model.config.max_seq_len):
+    for window in windows:
         h = encode(model.params, model.config, window.token_ids)
-        probs.append(classify(model.params, h)[window.boundary :, 0])
+        probs.append(classify(model.params, h)[window.boundary :, PRESERVE_COL])
     return np.concatenate(probs)
 
 

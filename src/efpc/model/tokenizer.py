@@ -1,10 +1,10 @@
-"""Turn labeled word examples into id sequences the encoder accepts.
+"""Turn instruction and original words into id sequences the encoder accepts.
 
 An instruction, when present, is followed by one SEP token; the boundary
 index of the first original word is therefore M+1 (or 0 with no
 instruction). Inputs longer than the model's sequence limit are cut into
-non-overlapping windows of original words, each window re-prefixed with
-the instruction and SEP, so label/probability positions always line up
+non-overlapping windows of original words, each window led by the same
+instruction and SEP ids, so label/probability positions always line up
 with original words.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..align import LabeledExample
 from ..errors import InstructionTooLong, LengthMismatch
 from .vocab import SEP_ID, Vocab
 
@@ -56,33 +55,31 @@ def tokenize_words(
 
 def window_example(
     vocab: Vocab,
-    example: LabeledExample,
+    instruction_words: Sequence[str],
+    original_words: Sequence[str],
+    labels: Sequence[int],
     max_seq_len: int,
-    include_instruction: bool = True,
 ) -> list[TokenizedExample]:
-    """Split one example into windows that each fit max_seq_len.
+    """Split one input into windows that each fit max_seq_len.
 
-    Every window carries the full instruction prefix; the original words
-    are partitioned so concatenating the windows' label positions gives
-    back the example's original words in order.
+    The input is encoded once; each window is the instruction prefix
+    followed by the next slice of original ids, so concatenating the
+    windows' label positions gives back the original words in order.
+    Pass no instruction words for instruction-free windows.
     """
-    instr = example.words[: example.boundary_m] if include_instruction else ()
-    prefix_len = len(instr) + 1 if instr else 0
-    if prefix_len >= max_seq_len:
+    whole = tokenize_words(vocab, instruction_words, original_words, labels)
+    prefix = whole.token_ids[: whole.boundary]
+    if len(prefix) >= max_seq_len:
         raise InstructionTooLong(
-            f"{len(instr)}-word instruction leaves no room in {max_seq_len}"
+            f"{len(instruction_words)}-word instruction leaves no room in {max_seq_len}"
         )
-    capacity = max_seq_len - prefix_len
-    originals = example.words[example.boundary_m :]
-    labels = example.labels[example.boundary_m :]
-    windows = []
-    for start in range(0, len(originals), capacity):
-        windows.append(
-            tokenize_words(
-                vocab,
-                instr,
-                originals[start : start + capacity],
-                labels[start : start + capacity],
-            )
+    capacity = max_seq_len - len(prefix)
+    originals = whole.token_ids[whole.boundary :]
+    return [
+        TokenizedExample(
+            token_ids=prefix + originals[start : start + capacity],
+            labels=whole.labels[start : start + capacity],
+            boundary=whole.boundary,
         )
-    return windows
+        for start in range(0, len(originals), capacity)
+    ]

@@ -60,14 +60,19 @@ def prepare_examples(
     """Tokenize and window a dataset for the given loss.
 
     The agnostic loss is defined on instruction-free input, so that
-    variant strips instruction words before tokenizing.
+    variant windows the original words with no instruction.
     """
-    include_instruction = loss_variant != "agnostic"
+    agnostic = loss_variant == "agnostic"
     prepared: list[TokenizedExample] = []
     for ex in dataset:
+        m = ex.boundary_m
         prepared.extend(
             window_example(
-                model.vocab, ex, model.config.max_seq_len, include_instruction
+                model.vocab,
+                () if agnostic else ex.words[:m],
+                ex.words[m:],
+                ex.labels[m:],
+                model.config.max_seq_len,
             )
         )
     return prepared

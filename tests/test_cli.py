@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -135,7 +136,7 @@ def test_manifests_have_no_timestamps(pipeline):
         "run_id", "command", "config_digest", "config", "input_digests", "versions",
     }
     assert manifest["command"] == "distill"
-    assert corpus.name in manifest["input_digests"]
+    assert manifest["input_digests"] == {"corpus": hashlib.sha256(corpus.read_bytes()).hexdigest()}
     assert set(manifest["versions"]) == {"package", "python", "numpy"}
 
 
@@ -309,6 +310,33 @@ def test_sweep_writes_cells_and_summary(pipeline, tmp_path):
     assert (out_dir / "summary.tsv.manifest.json").is_file()
     cell = json.loads((out_dir / "cell_0.json").read_text())
     assert {"run_id", "config_digest", "fraction", "metrics", "per_example"} == set(cell)
+
+
+def test_sweep_manifest_keys_same_named_inputs_by_role(pipeline, tmp_path):
+    *_, labeled, ckpt = pipeline
+    extra, eval_data = tmp_path / "a" / "labeled.jsonl", tmp_path / "b" / "labeled.jsonl"
+    lines = labeled.read_text().splitlines(keepends=True)
+    for path in (extra, eval_data):
+        path.parent.mkdir()
+        path.write_text("".join(lines))
+
+    def manifest():
+        out_dir = tmp_path / "sweep"
+        assert run_cli(["sweep", "--base-checkpoint", str(ckpt), "--extra", str(extra),
+                        "--eval-data", str(eval_data), "--fractions", "1.0", "--epochs", "1",
+                        "--out-dir", str(out_dir)]) == 0
+        return json.loads((out_dir / "summary.tsv.manifest.json").read_text())
+
+    first = manifest()
+    assert first["input_digests"] == {
+        role: hashlib.sha256(path.read_bytes()).hexdigest()
+        for role, path in (("base_checkpoint", ckpt), ("extra", extra), ("eval_data", eval_data))
+    }
+    run_ids = {first["run_id"]}
+    for path in (extra, eval_data):
+        path.write_text("".join(lines[:-1]))
+        run_ids.add(manifest()["run_id"])
+    assert len(run_ids) == 3
 
 
 def test_stats_prints_histogram(pipeline, capsys):

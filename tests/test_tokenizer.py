@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from efpc.align import LabeledExample
 from efpc.errors import InstructionTooLong, LengthMismatch
 from efpc.model import (
     SEP_ID,
@@ -11,9 +12,12 @@ from efpc.model import (
 )
 
 
+VOCAB = vocab_from_words(list("abcdefgh") + ["find", "stuff"])
+
+
 @pytest.fixture()
 def vocab():
-    return vocab_from_words(list("abcdefgh") + ["find", "stuff"])
+    return VOCAB
 
 
 def test_tokenize_with_instruction_inserts_sep(vocab):
@@ -40,26 +44,23 @@ def test_tokenized_example_validates_boundary():
         TokenizedExample(token_ids=(3, 4, 5), labels=(1, 0), boundary=0)
 
 
-def _example(n_original: int, boundary_m: int = 2) -> LabeledExample:
+def _example(n_original: int, boundary_m: int = 2):
+    """(instruction words, original words, labels) for window_example."""
     instr = tuple("find stuff".split())[:boundary_m]
     originals = tuple("abcdefgh"[i % 8] for i in range(n_original))
     labels = tuple(i % 2 for i in range(n_original))
-    return LabeledExample(
-        words=instr + originals,
-        labels=(0,) * boundary_m + labels,
-        boundary_m=boundary_m,
-    )
+    return instr, originals, labels
 
 
 def test_window_short_input_is_single_window(vocab):
-    windows = window_example(vocab, _example(4), max_seq_len=16)
+    windows = window_example(vocab, *_example(4), max_seq_len=16)
     assert len(windows) == 1
     assert windows[0].boundary == 3
 
 
 def test_window_long_input_repeats_instruction(vocab):
     # prefix takes 3 slots of 8, so capacity is 5 originals per window
-    windows = window_example(vocab, _example(12), max_seq_len=8)
+    windows = window_example(vocab, *_example(12), max_seq_len=8)
     assert [len(w.labels) for w in windows] == [5, 5, 2]
     for w in windows:
         assert w.boundary == 3
@@ -71,30 +72,79 @@ def test_window_long_input_repeats_instruction(vocab):
 
 
 def test_window_without_instruction_uses_full_capacity(vocab):
-    ex = _example(12, boundary_m=0)
-    windows = window_example(vocab, ex, max_seq_len=8)
+    windows = window_example(vocab, *_example(12, boundary_m=0), max_seq_len=8)
     assert [len(w.labels) for w in windows] == [8, 4]
     assert all(w.boundary == 0 for w in windows)
 
 
-def test_window_include_instruction_false_strips_prefix(vocab):
-    windows = window_example(vocab, _example(4), max_seq_len=8, include_instruction=False)
-    assert windows[0].boundary == 0
-    assert len(windows[0].token_ids) == 4
-
-
 def test_window_instruction_filling_model_raises(vocab):
-    ex = _example(3, boundary_m=2)
     with pytest.raises(InstructionTooLong):
-        window_example(vocab, ex, max_seq_len=3)  # 2 words + SEP = whole model
+        # 2 words + SEP = whole model
+        window_example(vocab, *_example(3, boundary_m=2), max_seq_len=3)
 
 
 def test_window_instruction_exactly_at_limit_raises(vocab):
-    ex = LabeledExample(
-        words=("find", "stuff", "a"), labels=(0, 0, 1), boundary_m=2
-    )
+    args = (("find", "stuff"), ("a",), (1,))
     with pytest.raises(InstructionTooLong):
-        window_example(vocab, ex, max_seq_len=3)
+        window_example(vocab, *args, max_seq_len=3)
     # one free slot is enough
-    windows = window_example(vocab, ex, max_seq_len=4)
+    windows = window_example(vocab, *args, max_seq_len=4)
     assert len(windows) == 1
+
+
+def test_window_encodes_each_word_once(vocab, monkeypatch):
+    calls = []
+    encode_words = type(vocab).encode_words
+    monkeypatch.setattr(
+        type(vocab), "encode_words", lambda self, ws: calls.append(len(ws)) or encode_words(self, ws)
+    )
+    windows = window_example(vocab, *_example(40), max_seq_len=8)
+    assert len(windows) == 8
+    assert calls == [2, 40]
+
+
+def _reference_windows(vocab, instruction_words, original_words, labels, max_seq_len):
+    """The per-window algorithm: tokenize_words on each slice of original
+    words, the instruction encoded again for every window."""
+    prefix_len = len(instruction_words) + 1 if instruction_words else 0
+    if prefix_len >= max_seq_len:
+        raise InstructionTooLong("no room")
+    capacity = max_seq_len - prefix_len
+    return [
+        tokenize_words(
+            vocab,
+            instruction_words,
+            original_words[start : start + capacity],
+            labels[start : start + capacity],
+        )
+        for start in range(0, len(original_words), capacity)
+    ]
+
+
+# known words, their cased and punctuation-wrapped forms, words the
+# vocabulary has never seen, and words that normalize to nothing
+_WINDOW_WORDS = st.one_of(
+    st.sampled_from(list("abcdefgh") + ["find", "stuff"]),
+    st.sampled_from(["A", "(b)", "c,", "Find.", '"stuff"', "...", "-", "zebra", "Quux!"]),
+    st.text(min_size=1, max_size=6).filter(lambda w: w.split() == [w]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_WINDOW_WORDS, max_size=10),
+    st.lists(st.tuples(_WINDOW_WORDS, st.integers(0, 1)), max_size=40),
+    st.data(),
+)
+def test_window_matches_per_window_reference(instruction, originals, data):
+    words = tuple(w for w, _ in originals)
+    labels = tuple(label for _, label in originals)
+    prefix_len = len(instruction) + 1 if instruction else 0
+    max_seq_len = data.draw(st.integers(1, prefix_len + len(words) + 3), label="max_seq_len")
+    if prefix_len >= max_seq_len:
+        with pytest.raises(InstructionTooLong):
+            window_example(VOCAB, instruction, words, labels, max_seq_len)
+        return
+    got = window_example(VOCAB, instruction, words, labels, max_seq_len)
+    assert got == _reference_windows(VOCAB, instruction, words, labels, max_seq_len)
+    assert all(type(w.token_ids) is tuple for w in got)

@@ -113,6 +113,7 @@ def test_prepare_examples_strips_instruction_for_agnostic():
     assert all(ex.boundary == 2 for ex in masked)  # instr word + SEP
     assert all(ex.boundary == 0 for ex in agnostic)
     assert masked[0].labels == agnostic[0].labels
+    assert all(a.token_ids == m.token_ids[2:] for a, m in zip(agnostic, masked))
 
 
 def test_long_examples_are_windowed_for_training():
