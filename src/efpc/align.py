@@ -71,13 +71,14 @@ def label_pair(original_words: Sequence[str], compressed_words: Sequence[str]) -
     labeled 1 and the cursor advances. Each compressed word is consumed at
     most once.
     """
+    targets = [normalize_word(w) for w in compressed_words]
     labels = [0] * len(original_words)
     cursor = 0
     matched = 0
     for i, word in enumerate(original_words):
-        if cursor >= len(compressed_words):
+        if cursor >= len(targets):
             break
-        if normalize_word(word) == normalize_word(compressed_words[cursor]):
+        if normalize_word(word) == targets[cursor]:
             labels[i] = 1
             cursor += 1
             matched += 1

@@ -60,21 +60,32 @@ def vocab_from_word_list(words: Sequence[str]) -> Vocab:
     """Rebuild a vocabulary from its serialized id-ordered word list.
 
     Raises ValueError naming the index of the first word that is empty or
-    not its own normal form."""
+    not its own normal form, or that repeats an earlier word, with the
+    earlier word's index: a repeat would leave an id past the table's end."""
+    word_to_id: dict[str, int] = {}
     for i, w in enumerate(words):
         if not w or normalize_word(w) != w:
             raise ValueError(f"vocab word {i} ({w!r}) is not a normalized word")
-    return Vocab(word_to_id={w: _NUM_RESERVED + i for i, w in enumerate(words)})
+        if w in word_to_id:
+            first = word_to_id[w] - _NUM_RESERVED
+            raise ValueError(f"vocab word {i} ({w!r}) repeats vocab word {first}")
+        word_to_id[w] = _NUM_RESERVED + i
+    return Vocab(word_to_id=word_to_id)
 
 
 def vocab_from_words(words: Iterable[str]) -> Vocab:
-    """Assign ids by (frequency desc, word asc) over normalized forms."""
+    """Assign ids by (frequency desc, word asc) over normalized forms.
+
+    Counts raw forms first and normalizes each distinct one once, adding
+    its count to its normal form; a corpus repeats most of its words."""
     counts = Counter()
-    for word in words:
+    for word, n in Counter(words).items():
         key = normalize_word(word)
         if key:
-            counts[key] += 1
-    ordered = sorted(counts, key=lambda w: (-counts[w], w))
+            counts[key] += n
+    # words ascending, then a stable sort by count descending: the same
+    # order as the key (-count, word), with no Python call per word
+    ordered = sorted(sorted(counts), key=counts.__getitem__, reverse=True)
     return Vocab(word_to_id={w: _NUM_RESERVED + i for i, w in enumerate(ordered)})
 
 

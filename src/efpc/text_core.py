@@ -76,12 +76,21 @@ def chunk_document(text: str, max_units: int) -> list[str]:
     return [text[spans[s][0] : spans[e - 1][1]] for s, e in ranges]
 
 
+# The ASCII code points of Unicode category P*: ``!"#%&'()*,-./:;?@[\]_{}``.
+# The ASCII symbols ``$+<=>^`|~`` are category S and stay attached.
+_ASCII_PUNCT = "".join(c for c in map(chr, range(128)) if unicodedata.category(c).startswith("P"))
+
+
 def normalize_word(word: str) -> str:
     """Lowercase and strip leading/trailing Unicode punctuation.
 
     Used only for matching and vocabulary lookup, never for output text.
-    An all-punctuation word normalizes to the empty string.
+    An all-punctuation word normalizes to the empty string. An ASCII word
+    takes ``str.strip`` over the ASCII punctuation, which gives the same
+    result as the per-character category loop other words take.
     """
+    if word.isascii():
+        return word.strip(_ASCII_PUNCT).lower()
     start, end = 0, len(word)
     while start < end and unicodedata.category(word[start]).startswith("P"):
         start += 1

@@ -86,6 +86,35 @@ def test_label_pair_random_deletions_recover_exactly(data):
         assert labeled == keep
 
 
+def _label_pair_per_comparison(original_words, compressed_words):
+    """Labels and match count as computed before the compressed words were
+    normalized once up front: the word at the cursor is normalized again
+    for every original word it is compared with."""
+    labels = [0] * len(original_words)
+    cursor = 0
+    for i, word in enumerate(original_words):
+        if cursor >= len(compressed_words):
+            break
+        if normalize_word(word) == normalize_word(compressed_words[cursor]):
+            labels[i] = 1
+            cursor += 1
+    return tuple(labels), cursor
+
+
+# "..." and "«»" normalize to the empty word; "zebra" and "Éclair" never occur
+# in the original draws, so a compressed word can stall the cursor for good
+_COMPRESSED_ONLY = st.sampled_from(["zebra", "Éclair!", "«»"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_WORDS | st.text(max_size=3), max_size=30),
+       st.lists(_WORDS | _COMPRESSED_ONLY | st.text(max_size=3), max_size=30))
+def test_label_pair_matches_the_per_comparison_reference(original, compressed):
+    result = label_pair(original, compressed)
+    assert (result.labels, result.matched) == _label_pair_per_comparison(original, compressed)
+    assert result.total_compressed == len(compressed)
+
+
 def test_build_example_prefixes_instruction_with_zero_labels():
     example, result = build_example("find cats", "the cat sat", "cat")
     assert example.words == ("find", "cats", "the", "cat", "sat")

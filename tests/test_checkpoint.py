@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from efpc.align import LabeledExample
 from efpc.errors import CheckpointError, ChecksumMismatch, FormatVersionMismatch
 from efpc.model import MAGIC, ModelConfig, load_checkpoint, save_checkpoint, train
 from efpc.model.params import tensor_count, tensor_shapes
@@ -178,6 +179,23 @@ def test_vocab_word_that_is_not_its_own_normal_form_is_refused(trained_model, tm
         load_checkpoint(path)
 
 
+def test_vocab_word_that_repeats_an_earlier_word_is_refused(tmp_path):
+    # ["a", "a"] would give one key, so vocab_size 4 would still fit, and the
+    # id of "a" would be 4: one past the embedding table's last row
+    model = small_model([LabeledExample(words=("a",), labels=(1,), boundary_m=0)],
+                        embed_dim=4, num_layers=0, num_heads=1, ffn_dim=4)
+    assert model.config.vocab_size == 4
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    header, tensors = _split(path.read_bytes())
+    header["vocab"]["words"] = ["a", "a"]
+    body = json.dumps(header).encode()
+    path.write_bytes(_seal(MAGIC + struct.pack("<I", len(body)) + body + tensors))
+    with pytest.raises(CheckpointError,
+                       match=r"malformed header \(vocab word 1 \('a'\) repeats vocab word 0\)"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("header", [
     "[" * 100_000 + "]" * 100_000,  # nested past the parser's recursion limit
     '{"format_version": ' + "1" * 5000 + "}",  # past Python's integer digit limit
@@ -259,8 +277,8 @@ _FIELD_VALUES = st.integers(-3, 40) | st.sampled_from([None, 2.5, "8", True, [4]
 def _crafted_headers(draw, header):
     header = json.loads(json.dumps(header))
     config, words = header["model_config"], header["vocab"]["words"]
-    edit = draw(st.sampled_from(["config value", "config key", "words", "word", "vocab",
-                                 "version", "section", "any"]))
+    edit = draw(st.sampled_from(["config value", "config key", "words", "word", "repeat",
+                                 "vocab", "version", "section", "any"]))
     if edit == "config value":
         config[draw(st.sampled_from(sorted(config)))] = draw(_FIELD_VALUES)
     elif edit == "config key":
@@ -273,6 +291,8 @@ def _crafted_headers(draw, header):
         header["vocab"]["words"] = draw(_JSON)
     elif edit == "word":
         words[draw(st.integers(0, len(words) - 1))] = draw(_JSON)
+    elif edit == "repeat":
+        words.append(draw(st.sampled_from(words)))
     elif edit == "vocab":
         header["vocab"] = draw(_JSON)
     elif edit == "version":
@@ -298,5 +318,6 @@ def test_any_crafted_header_raises_only_checkpoint_errors(trained_model, tmp_pat
         return
     # what loads is a model whose vocabulary and tensors fit its config
     assert loaded.vocab.size == loaded.config.vocab_size
+    assert sorted(loaded.vocab.word_to_id.values()) == list(range(3, loaded.config.vocab_size))
     assert all(w and normalize_word(w) == w for w in loaded.vocab.words)
     assert loaded.params["token_emb"].shape[0] == loaded.config.vocab_size

@@ -379,22 +379,45 @@ def test_corrupt_checkpoint_exits_two(tmp_path, capsys):
     assert "checksum" in capsys.readouterr().err.lower()
 
 
-def test_checkpoint_with_a_word_not_in_normal_form_exits_two(pipeline, tmp_path, capsys):
-    *_, ckpt = pipeline
+def _compress_with_vocab_words(ckpt, tmp_path, edit_words, text):
+    """Exit code of ``compress`` on a copy of ``ckpt`` (checksum redone)
+    whose header vocabulary ``edit_words`` changed in place."""
     blob = ckpt.read_bytes()
     (n,) = struct.unpack("<I", blob[8:12])
     header = json.loads(blob[12 : 12 + n])
-    header["vocab"]["words"][0] = header["vocab"]["words"][0].upper() + ","
+    edit_words(header["vocab"]["words"])
     body = json.dumps(header).encode()
     crafted = blob[:8] + struct.pack("<I", len(body)) + body + blob[12 + n : -4]
     bad = tmp_path / "crafted.ckpt"
     bad.write_bytes(crafted + struct.pack("<I", zlib.crc32(crafted)))
     doc = tmp_path / "doc.txt"
-    doc.write_text("some words here")
-    assert run_cli(["compress", "--checkpoint", str(bad), "--input", str(doc),
-                    "--ratio", "0.5"]) == 2
+    doc.write_text(text)
+    return run_cli(["compress", "--checkpoint", str(bad), "--input", str(doc),
+                    "--ratio", "0.5"])
+
+
+def test_checkpoint_with_a_word_not_in_normal_form_exits_two(pipeline, tmp_path, capsys):
+    *_, ckpt = pipeline
+
+    def shout(words):
+        words[0] = words[0].upper() + ","
+
+    assert _compress_with_vocab_words(ckpt, tmp_path, shout, "some words here") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "vocab word 0 (" in err, err
+
+
+def test_checkpoint_whose_vocabulary_repeats_a_word_exits_two(pipeline, tmp_path, capsys):
+    # the repeat keeps the table's size, so only the check on repeats stops
+    # the first word's id from pointing one past the embedding table
+    *_, ckpt = pipeline
+    words = load_checkpoint(ckpt).vocab.words
+    code = _compress_with_vocab_words(ckpt, tmp_path, lambda ws: ws.append(ws[0]),
+                                      f"some {words[0]} words here")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert f"vocab word {len(words)} ({words[0]!r}) repeats vocab word 0" in err, err
 
 
 GOOD_RECORDS = {

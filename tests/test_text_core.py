@@ -1,9 +1,12 @@
 import re
+import string
+import unicodedata
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from efpc import text_core
 from efpc.text_core import chunk_document, normalize_word, sentence_ranges, split_words
 
 
@@ -35,6 +38,45 @@ def test_split_words_takes_every_maximal_non_whitespace_run(text):
 )
 def test_normalize_word(word, expected):
     assert normalize_word(word) == expected
+
+
+def _normalize_word_loop(word):
+    """The per-character category loop every word took before the ASCII path."""
+    start, end = 0, len(word)
+    while start < end and unicodedata.category(word[start]).startswith("P"):
+        start += 1
+    while end > start and unicodedata.category(word[end - 1]).startswith("P"):
+        end -= 1
+    return word[start:end].lower()
+
+
+# ASCII punctuation and symbols (string.punctuation holds both), letters,
+# digits, non-ASCII punctuation, and non-ASCII capitals: İ lowers to two
+# code points, ẞ to ß
+_EDGE_WORDS = st.text(st.sampled_from(string.punctuation + "aZ09«»¿—、İẞ"), max_size=8)
+
+
+@given(st.one_of(st.text(), _EDGE_WORDS))
+def test_normalize_word_matches_the_category_loop(word):
+    assert normalize_word(word) == _normalize_word_loop(word)
+
+
+def test_ascii_punctuation_is_the_ascii_category_p_set():
+    derived = {chr(c) for c in range(128) if unicodedata.category(chr(c)).startswith("P")}
+    assert set(text_core._ASCII_PUNCT) == derived
+    assert len(text_core._ASCII_PUNCT) == len(derived)
+
+
+def test_ascii_words_normalize_without_category_lookups(monkeypatch):
+    def category(char):
+        raise AssertionError(f"category({char!r}) called")
+
+    monkeypatch.setattr(text_core.unicodedata, "category", category)
+    assert normalize_word("(Don't!)") == "don't"
+    assert normalize_word("$5+x|") == "$5+x|"
+    assert normalize_word("...") == ""
+    with pytest.raises(AssertionError):
+        normalize_word("«word»")
 
 
 def test_sentence_ranges_trailing_run_counts():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from efpc.model import (
     vocab_from_word_list,
     vocab_from_words,
 )
+from efpc.text_core import normalize_word
 
 
 def test_reserved_ids_are_fixed():
@@ -43,6 +46,31 @@ def test_words_are_normalized_before_counting():
 def test_tokens_that_normalize_to_nothing_are_skipped():
     vocab = vocab_from_words(["...", "cat"])
     assert list(vocab.word_to_id) == ["cat"]
+
+
+def _vocab_by_occurrence(words):
+    """The table built by normalizing every occurrence, as before raw forms
+    were counted first."""
+    counts = Counter()
+    for word in words:
+        key = normalize_word(word)
+        if key:
+            counts[key] += 1
+    ordered = sorted(counts, key=lambda w: (-counts[w], w))
+    return {w: 3 + i for i, w in enumerate(ordered)}
+
+
+# few letters and edge marks, so raw forms repeat, several raw forms share a
+# normal form, and an empty core gives an all-punctuation word
+_EDGES = st.text(st.sampled_from(".,!?\"'()«»¿—"), max_size=2)
+_RAW_WORDS = st.builds(lambda pre, core, post: pre + core + post,
+                       _EDGES, st.text(st.sampled_from("aAbé$İ"), max_size=2), _EDGES)
+
+
+@given(st.lists(_RAW_WORDS, max_size=40))
+def test_vocab_from_words_matches_normalizing_every_occurrence(words):
+    expected = _vocab_by_occurrence(words)
+    assert list(vocab_from_words(words).word_to_id.items()) == list(expected.items())
 
 
 def test_encode_word_unknown_and_empty():
