@@ -36,6 +36,7 @@ logger = logging.getLogger(__name__)
 API_KEY_ENV = "EFPC_API_KEY"
 REQUEST_TIMEOUT = 60.0  # seconds per attempt
 MAX_HISTOGRAM_BINS = 10_000  # `stats` prints one line per bin
+FAILURE_THRESHOLD = 0.1  # a run fails when more than this share of its chunks fail
 
 COMPRESSION_DIRECTIVE = (
     "Compress the text below into as few words as possible while keeping "
@@ -246,15 +247,16 @@ def distill_corpus(
     *,
     max_units: int = 512,
     max_concurrency: int = 4,
-    failure_threshold: float = 0.1,
 ) -> DistilledDataset:
     """Compress every chunk of every document through the provider.
 
     Per-chunk errors are logged and collected; the run fails only when the
-    failed fraction exceeds ``failure_threshold``. Results are assembled in
+    failed fraction exceeds ``FAILURE_THRESHOLD``. Results are assembled in
     (doc, chunk) order regardless of completion order, so runs against a
     deterministic provider are byte-reproducible.
     """
+    if max_concurrency < 1:
+        raise ValueError(f"max_concurrency must be at least 1, got {max_concurrency}")
     if not docs:
         raise EmptyDataset("no documents to distill")
     if instructions is None:
@@ -275,7 +277,7 @@ def distill_corpus(
         return replace(pair, doc_id=doc_id, chunk_idx=chunk_idx)
 
     outcomes: list[DistilledPair | ChunkFailure] = []
-    workers = max(1, min(max_concurrency, len(jobs)))
+    workers = min(max_concurrency, len(jobs))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         handles = [pool.submit(run_job, job) for job in jobs]
         for job, handle in zip(jobs, handles):
@@ -288,10 +290,10 @@ def distill_corpus(
     failures = [o for o in outcomes if isinstance(o, ChunkFailure)]
     for f in failures:
         logger.warning("chunk %d of doc %d failed: %s", f.chunk_idx, f.doc_id, f.error)
-    if len(failures) > failure_threshold * len(jobs):
+    if len(failures) > FAILURE_THRESHOLD * len(jobs):
         raise DistillationFailed(
             f"{len(failures)} of {len(jobs)} chunks failed "
-            f"(threshold {failure_threshold:.0%})"
+            f"(threshold {FAILURE_THRESHOLD:.0%})"
         )
     return DistilledDataset(pairs=pairs, failures=failures)
 

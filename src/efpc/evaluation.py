@@ -162,9 +162,15 @@ class MetricsReport:
 
     metrics: dict[str, float]
     per_example: list[dict]
-    n_scored: int
-    n_failed: int = 0
     failures: list[str] = field(default_factory=list)
+
+    @property
+    def n_scored(self) -> int:
+        return len(self.per_example)
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.failures)
 
 
 ANSWER_PROMPT = (
@@ -254,8 +260,6 @@ def evaluate_downstream(
     return MetricsReport(
         metrics=metrics,
         per_example=per_example,
-        n_scored=len(per_example),
-        n_failed=len(failures),
         failures=failures,
     )
 
@@ -319,7 +323,6 @@ def data_efficiency_sweep(
             per_example=[
                 {"index": i, "token_accuracy": a} for i, a in enumerate(per_example)
             ],
-            n_scored=len(per_example),
         )
         cells.append(SweepCell(fraction=fraction, report=report))
         logger.info("sweep cell f=%.3g: %d extra examples, accuracy %.4f",

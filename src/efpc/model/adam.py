@@ -1,8 +1,6 @@
-"""Functional Adam with bias correction.
-
-States are immutable; each step returns fresh parameter and moment
-tables, which keeps training trajectories trivially reproducible and lets
-callers keep any snapshot they like.
+"""Adam with bias correction, updating the caller's parameters and the
+state's moments in place and counting its ``step`` up. A gradient table
+that does not match the parameters is refused before anything is written.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ BETA2 = 0.999
 EPSILON = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -41,42 +39,34 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     config: TrainConfig,
-) -> tuple[ModelParams, AdamState]:
+) -> None:
     """One update: m,v moment tracking, bias correction, epsilon outside
     the square root."""
     if set(grads) != set(params.tensors):
         raise ShapeMismatch("gradient table keys do not match parameters")
-    t = state.step + 1
-    b1, b2 = BETA1, BETA2
-    new_params: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
     for name, theta in params.tensors.items():
-        g = grads[name]
-        if g.shape != theta.shape:
+        if grads[name].shape != theta.shape:
             raise ShapeMismatch(
-                f"{name}: gradient shape {g.shape} != parameter shape {theta.shape}"
+                f"{name}: gradient shape {grads[name].shape} != parameter shape {theta.shape}"
             )
+    state.step += 1
+    for name, theta in params.tensors.items():
+        g, m, v = grads[name], state.m[name], state.v[name]
         # m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*g*g,
-        # theta - lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps):
-        # the same operations in the same order, so the same bits, written
-        # into the three fresh outputs and one scratch array, all in the
-        # parameter dtype
-        scratch = np.multiply(g, 1.0 - b1, dtype=theta.dtype)
-        m = np.multiply(state.m[name], b1)
+        # theta -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps): their
+        # operations in their order, so their bits, in the parameter dtype
+        scratch = np.multiply(g, 1.0 - BETA1, dtype=theta.dtype)
+        m *= BETA1
         m += scratch
-        np.multiply(g, 1.0 - b2, out=scratch)
+        np.multiply(g, 1.0 - BETA2, out=scratch)
         scratch *= g
-        v = np.multiply(state.v[name], b2)
+        v *= BETA2
         v += scratch
-        new = np.divide(v, 1.0 - b2**t)
-        np.sqrt(new, out=new)
-        new += EPSILON
-        np.divide(m, 1.0 - b1**t, out=scratch)
+        denom = np.divide(v, 1.0 - BETA2**state.step)
+        np.sqrt(denom, out=denom)
+        denom += EPSILON
+        np.divide(m, 1.0 - BETA1**state.step, out=scratch)
         scratch *= config.learning_rate
-        scratch /= new
-        np.subtract(theta, scratch, out=new)
-        new_params[name] = new
-        new_m[name] = m
-        new_v[name] = v
-    return ModelParams(new_params), AdamState(m=new_m, v=new_v, step=t)
+        scratch /= denom
+        theta -= scratch
+        del scratch, denom  # freed before the next tensor's are made

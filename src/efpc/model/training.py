@@ -101,15 +101,17 @@ def train(
         raise EmptyDataset("dataset reduced to zero non-empty windows")
 
     rng = random.Random(config.seed)
-    # the run trains the used token_emb rows, with ids renumbered to their
-    # positions; the caller's parameters are never modified
+    # the run trains its own copy of every tensor, of token_emb only the used
+    # rows, with ids renumbered to their positions; the caller's stay as they are
     rows = np.unique(np.concatenate([ex.token_ids for ex in examples]))
     examples = [
         replace(ex, token_ids=tuple(np.searchsorted(rows, ex.token_ids).tolist()))
         for ex in examples
     ]
     emb = model.params["token_emb"]
-    params = ModelParams({**model.params.tensors, "token_emb": emb[rows]})
+    params = ModelParams(
+        {k: emb[rows] if k == "token_emb" else t.copy() for k, t in model.params.tensors.items()}
+    )
     state = init_adam(params)
     # one table for the run, zeroed again after each step
     grads = {k: np.zeros_like(t) for k, t in params.tensors.items()}
@@ -141,7 +143,7 @@ def train(
                         f"epoch {epoch} batch {batch_no}: {k} gradient is not finite"
                     )
                 g /= len(batch)
-            params, state = adam_step(params, grads, state, config)
+            adam_step(params, grads, state, config)
             for k, t in params.tensors.items():
                 if not np.isfinite(t).all():
                     raise NumericalDivergence(

@@ -21,12 +21,17 @@ def _setup(lr=1e-3):
     return params, init_adam(params), TrainConfig(learning_rate=lr)
 
 
+def _snapshot(table):
+    return {k: t.copy() for k, t in table.items()}
+
+
 def test_zero_gradient_leaves_parameters_unchanged():
     params, state, tc = _setup()
-    new_params, new_state = adam_step(params, zeros_like_params(params), state, tc)
+    before = _snapshot(params.tensors)
+    assert adam_step(params, zeros_like_params(params), state, tc) is None
     for name in params.tensors:
-        assert np.array_equal(new_params[name], params[name])
-    assert new_state.step == 1
+        assert np.array_equal(params[name], before[name])
+    assert state.step == 1
 
 
 def test_first_step_size_approaches_learning_rate():
@@ -34,8 +39,9 @@ def test_first_step_size_approaches_learning_rate():
     params, state, tc = _setup(lr=1e-3)
     grads = zeros_like_params(params)
     grads["cls_b"] = np.array([0.5, -0.25])
-    new_params, _ = adam_step(params, grads, state, tc)
-    delta = new_params["cls_b"] - params["cls_b"]
+    before = _snapshot(params.tensors)
+    adam_step(params, grads, state, tc)
+    delta = params["cls_b"] - before["cls_b"]
     assert delta[0] == pytest.approx(-1e-3, rel=1e-6)
     assert delta[1] == pytest.approx(+1e-3, rel=1e-6)
 
@@ -44,20 +50,21 @@ def test_untouched_tensors_stay_put():
     params, state, tc = _setup()
     grads = zeros_like_params(params)
     grads["cls_b"] = np.array([1.0, 1.0])
-    new_params, _ = adam_step(params, grads, state, tc)
-    assert np.array_equal(new_params["token_emb"], params["token_emb"])
-    assert not np.array_equal(new_params["cls_b"], params["cls_b"])
+    before = _snapshot(params.tensors)
+    adam_step(params, grads, state, tc)
+    assert np.array_equal(params["token_emb"], before["token_emb"])
+    assert not np.array_equal(params["cls_b"], before["cls_b"])
 
 
 def test_moments_accumulate_across_steps():
     params, state, tc = _setup()
     grads = zeros_like_params(params)
     grads["cls_b"] = np.array([1.0, 0.0])
-    params, state = adam_step(params, grads, state, tc)
+    adam_step(params, grads, state, tc)
     assert state.step == 1
     assert state.m["cls_b"][0] == pytest.approx(0.1)  # (1-β1)·g
     assert state.v["cls_b"][0] == pytest.approx(0.001)  # (1-β2)·g²
-    params, state = adam_step(params, grads, state, tc)
+    adam_step(params, grads, state, tc)
     assert state.step == 2
     assert state.m["cls_b"][0] == pytest.approx(0.19)
 
@@ -68,7 +75,7 @@ def test_steps_are_deterministic():
         params, state, tc = _setup()
         grads = {k: np.full_like(v, 0.01) for k, v in params.tensors.items()}
         for _ in range(3):
-            params, state = adam_step(params, grads, state, tc)
+            adam_step(params, grads, state, tc)
         results.append(params)
     for name in results[0].tensors:
         assert np.array_equal(results[0][name], results[1][name])
@@ -76,14 +83,21 @@ def test_steps_are_deterministic():
 
 def test_shape_validation():
     params, state, tc = _setup()
-    grads = zeros_like_params(params)
-    del grads["cls_b"]
-    with pytest.raises(ShapeMismatch):
-        adam_step(params, grads, state, tc)
-    grads = zeros_like_params(params)
-    grads["cls_b"] = np.zeros(3)
-    with pytest.raises(ShapeMismatch):
-        adam_step(params, grads, state, tc)
+    # one real step first, so the moments a refused step must keep are not zero
+    adam_step(params, {k: np.ones_like(t) for k, t in params.tensors.items()}, state, tc)
+    before = [_snapshot(table) for table in (params.tensors, state.m, state.v)]
+    missing = {k: np.ones_like(t) for k, t in params.tensors.items()}
+    del missing["cls_b"]
+    # the bad tensor comes last in the table, after every good one
+    wrong = {k: np.ones_like(t) for k, t in params.tensors.items()}
+    wrong["cls_b"] = np.ones(3)
+    for grads in (missing, wrong):
+        with pytest.raises(ShapeMismatch):
+            adam_step(params, grads, state, tc)
+        assert state.step == 1
+        for want, got in zip(before, (params.tensors, state.m, state.v)):
+            for name in want:
+                assert np.array_equal(got[name], want[name]), name
 
 
 def test_train_config_validation():

@@ -653,17 +653,26 @@ def test_non_finite_learning_rate_exits_one_naming_it(pipeline, tmp_path, capsys
      r"min_match_rate must be within \[0, 1\], got nan"),
     (["label", "--min-match-rate", "2", "--out", "{out}"],
      r"min_match_rate must be within \[0, 1\], got 2\.0"),
+    (["distill", "--max-concurrency", "0", "--out", "{out}"],
+     r"max_concurrency must be at least 1, got 0"),
+    (["distill", "--max-concurrency", "-3", "--out", "{out}"],
+     r"max_concurrency must be at least 1, got -3"),
+    (["distill", "--config", "{cfg}", "--out", "{out}"],
+     r"max_concurrency must be at least 1, got 0"),
 ])
 def test_out_of_range_numeric_flag_exits_one_naming_it(pipeline, tmp_path, capsys, argv,
                                                        message):
-    pairs = pipeline[2]
+    _, corpus, pairs, *_ = pipeline
     out = tmp_path / "out.jsonl"
-    flag = "--dataset" if argv[0] == "stats" else "--pairs"
-    argv = [a.format(out=out) for a in argv] + [flag, str(pairs)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"provider": {"max_concurrency": 0}}))
+    flag, data = {"stats": ("--dataset", pairs), "label": ("--pairs", pairs),
+                  "distill": ("--corpus", corpus)}[argv[0]]
+    argv = [a.format(out=out, cfg=cfg) for a in argv] + [flag, str(data)]
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(f"error: {message}\n", err), err
-    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("url", ["notaurl", "file:///dev/null"])

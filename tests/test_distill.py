@@ -147,8 +147,9 @@ class _FlakyProvider:
 
 
 def test_distill_corpus_records_failures_below_threshold():
+    # 1 failed chunk in 10 is not more than the 10% threshold
     docs = ["The cat sat on the mat."] * 9 + ["zzfail word here."]
-    ds = distill_corpus(_FlakyProvider("zzfail"), docs, failure_threshold=0.2)
+    ds = distill_corpus(_FlakyProvider("zzfail"), docs)
     assert len(ds.failures) == 1
     assert len(ds.pairs) == 9
     assert ds.failures[0].doc_id == 9
@@ -157,7 +158,7 @@ def test_distill_corpus_records_failures_below_threshold():
 def test_distill_corpus_fails_above_threshold():
     docs = ["zzfail one.", "zzfail two.", "The cat sat."]
     with pytest.raises(DistillationFailed):
-        distill_corpus(_FlakyProvider("zzfail"), docs, failure_threshold=0.1)
+        distill_corpus(_FlakyProvider("zzfail"), docs)
 
 
 def test_pairs_jsonl_round_trip(tmp_path):

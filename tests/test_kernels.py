@@ -9,6 +9,8 @@ both below and above the bound where it starts to shift by the row
 maximum.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,28 +213,47 @@ def test_adam_step_is_bit_identical(dtype):
     state = init_adam(params)
     for _ in range(3):
         grads = {k: RNG.standard_normal(t.shape).astype(dtype) for k, t in params.tensors.items()}
+        # the reference builds fresh tables, so it runs first, on the
+        # tables the in-place step then overwrites
         expected = _old_adam_step(params, grads, state, config)
-        params, state = adam_step(params, grads, state, config)
+        adam_step(params, grads, state, config)
         for name in params.tensors:
             assert params[name].dtype == dtype
             for got, want in zip((params[name], state.m[name], state.v[name]), expected):
                 assert np.array_equal(got, want[name])
 
 
-def test_adam_step_leaves_parameters_and_moments_unmodified():
+def test_adam_step_leaves_the_gradient_table_unmodified():
     params = init_params(CFG, dtype=np.float32)
     config = TrainConfig(learning_rate=1e-2)
     grads = {k: np.ones_like(t) for k, t in params.tensors.items()}
     state = init_adam(params)
-    params, state = adam_step(params, grads, state, config)
-    snapshot = [
-        {k: t.copy() for k, t in table.items()}
-        for table in (params.tensors, grads, state.m, state.v)
-    ]
     adam_step(params, grads, state, config)
-    for before, after in zip(snapshot, (params.tensors, grads, state.m, state.v)):
-        for name in before:
-            assert np.array_equal(before[name], after[name])
+    adam_step(params, grads, state, config)
+    for name, g in grads.items():
+        assert np.array_equal(g, np.ones_like(g)), name
+
+
+def test_adam_step_holds_no_memory_after_it_returns():
+    # the default model's shapes with a 3000-word vocabulary, in float32
+    config = ModelConfig(vocab_size=3000)
+    params = init_params(config)
+    grads = {k: RNG.standard_normal(t.shape).astype(t.dtype) for k, t in params.tensors.items()}
+    state = init_adam(params)
+    train_config = TrainConfig(learning_rate=1e-3)
+    # one step outside the trace, so numpy's one-time set-up is not counted
+    adam_step(params, grads, state, train_config)
+    largest = max(t.nbytes for t in params.tensors.values())
+    tracemalloc.start()
+    try:
+        returned = adam_step(params, grads, state, train_config)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two temporaries the size of one tensor at a time, and nothing kept
+    assert current < 4096, current
+    assert peak <= 2 * largest + 4096, (peak, largest)
+    assert returned is None
 
 
 WORDS = ("ant", "bee", "cow", "dog", "eel", "fox")
@@ -272,7 +293,9 @@ def test_batch_gradient_table_is_the_sum_of_example_gradients(case):
     original = training.adam_step
 
     def spy(params, grads, state, cfg):
-        seen.append((params["token_emb"], {k: g * len(windows) for k, g in grads.items()}))
+        # a copy: the step overwrites the rows in place
+        seen.append((params["token_emb"].copy(),
+                     {k: g * len(windows) for k, g in grads.items()}))
         return original(params, grads, state, cfg)
 
     training.adam_step = spy

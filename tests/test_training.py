@@ -194,7 +194,8 @@ def _dense_train(model, dataset, config):
     per batch, checked and averaged whole, and Adam over every row."""
     examples = prepare_examples(model, dataset, config.loss_variant)
     rng = random.Random(config.seed)
-    params = model.params
+    # a copy: each step overwrites the tensors in place
+    params = ModelParams({k: t.copy() for k, t in model.params.tensors.items()})
     state = init_adam(params)
     losses = []
     for _ in range(config.epochs):
@@ -211,7 +212,7 @@ def _dense_train(model, dataset, config):
             for g in grads.values():
                 assert np.isfinite(g).all()
                 g /= len(batch)
-            params, state = adam_step(params, grads, state, config)
+            adam_step(params, grads, state, config)
         losses.append(loss_sum / len(examples))
     return params, losses
 
