@@ -32,9 +32,8 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# JSON value kinds a record field or a config key can be declared as
+# JSON value kinds a record field can be declared as
 _KINDS = {
-    "boolean": lambda v: isinstance(v, bool),
     "string": lambda v: isinstance(v, str),
     "integer": _is_int,
     "finite number": lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),

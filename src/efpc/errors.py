@@ -57,12 +57,8 @@ class ChecksumMismatch(CheckpointError):
     """Checkpoint bytes fail CRC verification."""
 
 
-class ConfigParseError(EfpcError):
-    """Run configuration file is missing or cannot be parsed."""
-
-
 class ConfigValidationError(EfpcError):
-    """Run configuration violates an invariant."""
+    """A run's settings violate an invariant."""
 
 
 class RecordError(EfpcError):

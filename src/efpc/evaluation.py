@@ -287,10 +287,12 @@ def data_efficiency_sweep(
 ) -> SweepReport:
     """Incrementally train on growing slices of extra data and score each.
 
-    For each fraction f, a copy of the base model continues training on a
-    deterministic f-sized subset of ``extra_data`` (cell-specific seed,
-    shared across runs) and is scored by token accuracy on ``eval_set``.
-    The f=0 cell is the untouched base model.
+    ``extra_data`` is shuffled once with ``train_config.seed``; for each
+    fraction f, a copy of the base model continues training on the first
+    ``round_half_up(f * n)`` examples of that order and is scored by token
+    accuracy on ``eval_set``. Smaller cells are prefixes of larger ones,
+    and a cell does not depend on which other fractions are listed. The
+    f=0 cell is the untouched base model.
     """
     if not eval_set:
         raise EmptyDataset("empty evaluation set")
@@ -303,8 +305,10 @@ def data_efficiency_sweep(
         raise InsufficientData("no extra data to subsample from")
 
     variant = train_config.loss_variant
+    order = list(extra_data)
+    random.Random(train_config.seed).shuffle(order)
     cells: list[SweepCell] = []
-    for idx, fraction in enumerate(fr):
+    for fraction in fr:
         k = round_half_up(fraction * len(extra_data))
         if fraction > 0 and k == 0:
             raise InsufficientData(
@@ -313,10 +317,7 @@ def data_efficiency_sweep(
         if k == 0:
             model = base_model
         else:
-            rng = random.Random(f"{train_config.seed}/{idx}")
-            pool = list(extra_data)
-            rng.shuffle(pool)
-            model, _ = train(base_model, pool[:k], train_config)
+            model, _ = train(base_model, order[:k], train_config)
         mean_acc, per_example = token_accuracy(model, eval_set, variant)
         report = MetricsReport(
             metrics={"token_accuracy": mean_acc, "n_extra": float(k)},

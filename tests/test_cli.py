@@ -12,82 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from efpc.cli import _SECTION_KEYS, load_config, run_cli
-from efpc.errors import ConfigParseError, ConfigValidationError
+from efpc.cli import run_cli
+from efpc.distill import API_KEY_ENV, HttpProvider, MockProvider
 from efpc.model import ModelConfig, TrainConfig, load_checkpoint
 
 from helpers import RATIO_DOCS
-
-
-# ------------------------------------------------------------- load_config
-
-
-def test_load_config_reads_sections(tmp_path):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({
-        "seed": 9,
-        "model": {"embed_dim": 16},
-        "train": {"epochs": 2},
-        "compress": {"ratio": 0.5},
-        "paths": {"corpus": "c.jsonl"},
-    }))
-    cfg = load_config(path)
-    assert cfg.seed == 9
-    assert cfg.model == {"embed_dim": 16}
-    assert cfg.train == {"epochs": 2}
-    assert cfg.compress == {"ratio": 0.5}
-    assert cfg.paths == {"corpus": "c.jsonl"}
-    assert cfg.provider == {}
-
-
-def test_load_config_missing_file(tmp_path):
-    with pytest.raises(ConfigParseError):
-        load_config(tmp_path / "nope.json")
-
-
-def test_load_config_reports_json_error_position(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text('{\n  "model": {,}\n}\n')
-    with pytest.raises(ConfigParseError) as err:
-        load_config(path)
-    assert f"{path}:2:" in str(err.value)
-
-
-def test_load_config_rejects_non_object(tmp_path):
-    path = tmp_path / "list.json"
-    path.write_text("[1, 2]")
-    with pytest.raises(ConfigParseError):
-        load_config(path)
-
-
-def test_load_config_rejects_unknown_section(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"optimizer": {}}')
-    with pytest.raises(ConfigValidationError):
-        load_config(path)
-
-
-def test_load_config_rejects_unknown_key(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"train": {"momentum": 0.9}}')
-    with pytest.raises(ConfigValidationError) as err:
-        load_config(path)
-    assert "momentum" in str(err.value)
-
-
-def test_load_config_rejects_ratio_and_budget_together(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"compress": {"ratio": 0.5, "budget": 3}}')
-    with pytest.raises(ConfigValidationError):
-        load_config(path)
-
-
-def test_load_config_rejects_non_integer_seed(tmp_path):
-    path = tmp_path / "bad.json"
-    for value in ('"7"', "true"):
-        path.write_text('{"seed": %s}' % value)
-        with pytest.raises(ConfigValidationError):
-            load_config(path)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -136,6 +65,8 @@ def test_manifests_have_no_timestamps(pipeline):
         "run_id", "command", "config_digest", "config", "input_digests", "versions",
     }
     assert manifest["command"] == "distill"
+    assert manifest["config"] == {"command": "distill", "provider": "mock", "max_units": 512,
+                                  "instruction_override": None}
     assert manifest["input_digests"] == {"corpus": hashlib.sha256(corpus.read_bytes()).hexdigest()}
     assert set(manifest["versions"]) == {"package", "python", "numpy"}
 
@@ -174,9 +105,23 @@ def test_train_resume_continues_from_checkpoint(pipeline, tmp_path):
     root, corpus, pairs, labeled, ckpt = pipeline
     out = tmp_path / "resumed.ckpt"
     assert run_cli(["train", "--data", str(labeled), "--out", str(out),
-                    "--resume", str(ckpt), "--epochs", "1", "--lr", "1e-3"]) == 0
+                    "--resume", str(ckpt), "--epochs", "1", "--lr", "1e-3", "--seed", "5"]) == 0
     resumed = load_checkpoint(out)
     assert resumed.config == load_checkpoint(ckpt).config
+    # --seed still seeds the resumed run's shuffle
+    manifest = json.loads((tmp_path / "resumed.ckpt.manifest.json").read_text())
+    assert manifest["config"]["train"]["seed"] == 5
+
+
+@pytest.mark.parametrize("flag", ["--embed-dim", "--layers", "--heads", "--ffn-dim",
+                                  "--max-seq-len"])
+def test_train_resume_refuses_model_shape_flags(pipeline, tmp_path, capsys, flag):
+    *_, labeled, ckpt = pipeline
+    assert run_cli(["train", "--data", str(labeled), "--out", str(tmp_path / "resumed.ckpt"),
+                    "--resume", str(ckpt), "--epochs", "1", flag, "48"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} cannot be used with --resume") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_label_task_agnostic_strips_boundaries(pipeline, tmp_path):
@@ -212,19 +157,6 @@ def test_compress_to_file_with_manifest(pipeline, tmp_path):
     record = json.loads(out.read_text())
     assert record["n_kept"] == 3
     assert (tmp_path / "compressed.json.manifest.json").is_file()
-
-
-def test_compress_flag_overrides_config_file_target(pipeline, tmp_path):
-    *_, ckpt = pipeline
-    doc = tmp_path / "doc.txt"
-    doc.write_text("one two three four five six")
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"compress": {"ratio": 0.5}}))
-    out = tmp_path / "c.json"
-    # --budget wins over the file's ratio rather than clashing with it
-    assert run_cli(["compress", "--config", str(cfg), "--checkpoint", str(ckpt),
-                    "--input", str(doc), "--budget", "2", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["n_kept"] == 2
 
 
 def test_compress_rejects_two_flag_targets(pipeline, tmp_path, capsys):
@@ -512,74 +444,6 @@ def test_wrong_type_field_exits_one_naming_file_line_and_field(pipeline, tmp_pat
         assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("section", ["model", "train"])
-def test_wrong_type_config_values_exit_one_naming_the_key(pipeline, tmp_path, capsys, section):
-    *_, labeled, _ = pipeline
-    out = tmp_path / "m.ckpt"
-    cfg = tmp_path / "cfg.json"
-    for key in sorted(_SECTION_KEYS[section]):
-        for value in ("64", True, [1]):
-            cfg.write_text(json.dumps({section: {key: value}}))
-            assert run_cli(["train", "--config", str(cfg), "--data", str(labeled),
-                            "--out", str(out)]) == 1, (key, value)
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: {key} must be "), err
-            assert err.count("\n") == 1
-            assert not out.exists()
-
-
-@pytest.mark.parametrize("section, key", [
-    (section, key) for section in ("model", "train") for key in sorted(_SECTION_KEYS[section])
-])
-def test_null_model_or_train_value_exits_one_naming_section_and_key(pipeline, tmp_path, capsys,
-                                                                   section, key):
-    *_, labeled, _ = pipeline
-    out = tmp_path / "m.ckpt"
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({section: {key: None}}))
-    assert run_cli(["train", "--config", str(cfg), "--data", str(labeled),
-                    "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {section}.{key} must be "), err
-    assert err.count("\n") == 1
-    assert not out.exists()
-
-
-# values of another JSON kind than each provider, compress and paths key takes
-_WRONG_KIND_VALUES = {
-    "boolean": ["no", 0, None],
-    "string": [5, True, None, ["x"]],
-    "integer": ["x", 2.5, True, None],
-    "finite number": ["x", True, None, [1], float("nan")],
-}
-WRONG_KIND_CONFIGS = [
-    (section, key, value)
-    for section in ("provider", "compress", "paths")
-    for key, kind in sorted(_SECTION_KEYS[section].items())
-    for value in _WRONG_KIND_VALUES[kind]
-]
-
-
-@pytest.mark.parametrize("section, key, value", WRONG_KIND_CONFIGS)
-def test_wrong_kind_config_value_exits_one_naming_section_and_key(pipeline, tmp_path, capsys,
-                                                                 section, key, value):
-    _, corpus, _, _, ckpt = pipeline
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({section: {key: value}}))
-    out = tmp_path / "out.jsonl"
-    if section == "compress":
-        doc = tmp_path / "doc.txt"
-        doc.write_text("the cat sat on the mat")
-        argv = ["compress", "--checkpoint", str(ckpt), "--input", str(doc), "--out", str(out)]
-    else:
-        argv = ["distill", "--corpus", str(corpus), "--out", str(out)]
-    assert run_cli(argv + ["--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {section}.{key} must be a "), err
-    assert err.count("\n") == 1
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("lr, message", [
     ("1e9", r"(loss is nan|\S+ gradient is not finite)"),
     ("1e300", r"\S+ is not finite after the step"),  # the step overflows the parameters
@@ -624,9 +488,7 @@ def test_zero_heads_exits_one(pipeline, tmp_path, capsys):
 
 @pytest.mark.parametrize("lr", ["nan", "inf"])
 @pytest.mark.parametrize("command", ["train", "sweep"])
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_non_finite_learning_rate_exits_one_naming_it(pipeline, tmp_path, capsys,
-                                                      command, lr, source):
+def test_non_finite_learning_rate_exits_one_naming_it(pipeline, tmp_path, capsys, command, lr):
     *_, labeled, ckpt = pipeline
     out = tmp_path / "out"
     if command == "train":
@@ -634,13 +496,7 @@ def test_non_finite_learning_rate_exits_one_naming_it(pipeline, tmp_path, capsys
     else:
         argv = ["sweep", "--base-checkpoint", str(ckpt), "--extra", str(labeled),
                 "--eval-data", str(labeled), "--fractions", "1.0", "--out-dir", str(out)]
-    if source == "flag":
-        argv += ["--lr", lr]
-    else:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"train": {"learning_rate": float(lr)}}))
-        argv += ["--config", str(cfg)]
-    assert run_cli(argv) == 1
+    assert run_cli(argv + ["--lr", lr]) == 1
     err = capsys.readouterr().err
     assert err == f"error: learning_rate must be a finite positive number, got {float(lr)}\n"
     assert not out.exists()
@@ -657,22 +513,18 @@ def test_non_finite_learning_rate_exits_one_naming_it(pipeline, tmp_path, capsys
      r"max_concurrency must be at least 1, got 0"),
     (["distill", "--max-concurrency", "-3", "--out", "{out}"],
      r"max_concurrency must be at least 1, got -3"),
-    (["distill", "--config", "{cfg}", "--out", "{out}"],
-     r"max_concurrency must be at least 1, got 0"),
 ])
 def test_out_of_range_numeric_flag_exits_one_naming_it(pipeline, tmp_path, capsys, argv,
                                                        message):
     _, corpus, pairs, *_ = pipeline
     out = tmp_path / "out.jsonl"
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"provider": {"max_concurrency": 0}}))
     flag, data = {"stats": ("--dataset", pairs), "label": ("--pairs", pairs),
                   "distill": ("--corpus", corpus)}[argv[0]]
-    argv = [a.format(out=out, cfg=cfg) for a in argv] + [flag, str(data)]
+    argv = [a.format(out=out) for a in argv] + [flag, str(data)]
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(f"error: {message}\n", err), err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("url", ["notaurl", "file:///dev/null"])
@@ -689,10 +541,74 @@ def test_live_distill_with_a_non_http_url_exits_one_at_once(tmp_path, capsys, ur
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt"]
 
 
-def test_bad_config_file_exits_one(tmp_path, capsys):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text("{nope")
-    assert run_cli(["stats", "--config", str(cfg), "--dataset", "x"]) == 1
+@pytest.mark.parametrize("flag, value", [("--base-url", "http://example.invalid/v1"),
+                                         ("--model-name", "gpt-4")], ids=["url", "model"])
+def test_provider_flag_without_live_exits_one_naming_live(tmp_path, capsys, flag, value):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the cat sat on the mat")
+    assert run_cli(["distill", "--corpus", str(corpus), "--out", str(tmp_path / "pairs.jsonl"),
+                    flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {flag} is used only with --live\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt"]
+
+
+def test_live_distill_manifest_records_the_teacher_but_not_the_key(tmp_path, monkeypatch):
+    monkeypatch.setattr(HttpProvider, "complete",
+                        lambda self, messages: MockProvider().complete(messages))
+    monkeypatch.setenv(API_KEY_ENV, "sk-not-for-manifests")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the cat sat on the mat")
+    manifests = {}
+    for name in ("model-a", "model-b"):
+        out = tmp_path / f"{name}.jsonl"
+        assert run_cli(["distill", "--live", "--base-url", "http://example.invalid/v1",
+                        "--model-name", name, "--corpus", str(corpus), "--out", str(out)]) == 0
+        text = Path(f"{out}.manifest.json").read_text()
+        assert "sk-not-for-manifests" not in text
+        manifests[name] = json.loads(text)
+    config = manifests["model-a"]["config"]
+    assert (config["base_url"], config["model_name"]) == ("http://example.invalid/v1", "model-a")
+    assert manifests["model-a"]["run_id"] != manifests["model-b"]["run_id"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--base-checkpoint", "{ckpt}", "--extra", "{two}", "--eval-data", "{two}",
+      "--fractions", "0,0.1", "--epochs", "1", "--out-dir", "{out}"],
+     "fraction 0.1 selects zero of 2 examples"),
+    (["train", "--data", "{empty}", "--out", "{out}"],
+     "cannot build a vocabulary from no examples"),
+    (["stats", "--dataset", "{empty}"], "dataset has no pairs"),
+    (["distill", "--corpus", "{empty}", "--out", "{out}"], "no documents to distill"),
+    (["compress", "--checkpoint", "{ckpt}", "--input", "{doc}", "--ratio", "0.5",
+      "--instruction", "{long}", "--out", "{out}"], "300-word instruction leaves no room in 64"),
+], ids=["sweep", "train", "stats", "distill", "compress"])
+def test_data_too_small_for_the_request_exits_one(pipeline, tmp_path, capsys, argv, message):
+    *_, labeled, ckpt = pipeline
+    names = {"ckpt": ckpt, "two": tmp_path / "two.jsonl", "empty": tmp_path / "empty.jsonl",
+             "doc": tmp_path / "doc.txt", "out": tmp_path / "out", "long": " ".join(["why"] * 300)}
+    names["two"].write_text("".join(labeled.read_text().splitlines(keepends=True)[:2]))
+    names["empty"].write_text("")
+    names["doc"].write_text("the cat sat on the mat")
+    before = sorted(tmp_path.iterdir())
+    assert run_cli([a.format(**names) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["distill", "--corpus", "c.jsonl", "--out", "p.jsonl"],
+    ["label", "--pairs", "p.jsonl", "--out", "l.jsonl"],
+    ["train", "--data", "l.jsonl", "--out", "m.ckpt"],
+    ["compress", "--checkpoint", "m.ckpt", "--input", "doc.txt", "--ratio", "0.5"],
+    ["eval", "--checkpoint", "m.ckpt", "--data", "qa.jsonl", "--ratio", "0.5",
+     "--out", "r.json"],
+    ["sweep", "--base-checkpoint", "m.ckpt", "--extra", "l.jsonl", "--eval-data", "l.jsonl",
+     "--out-dir", "sweep"],
+    ["stats", "--dataset", "p.jsonl"],
+], ids=lambda argv: argv[0])
+def test_config_file_flag_is_unknown(capsys, argv):
+    assert run_cli(argv + ["--config", "run.json"]) == 1
+    assert "error: unrecognized arguments: --config run.json\n" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
@@ -713,6 +629,6 @@ def test_module_entry_point_runs_the_cli():
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: ")
     assert "distill" in done.stdout
-    done = _run_module("train", "--no-such-flag")
+    done = _run_module("train", "--data", "l.jsonl", "--out", "m.ckpt", "--no-such-flag")
     assert done.returncode == 1
     assert "--no-such-flag" in done.stderr

@@ -166,6 +166,15 @@ def test_sweep_is_deterministic(sweep_setup):
     assert runs[0].cells == runs[1].cells
 
 
+def test_sweep_cell_does_not_depend_on_the_other_fractions(sweep_setup):
+    base, extra, eval_set = sweep_setup
+    tc = fast_train_config(epochs=1, seed=17)
+    alone = data_efficiency_sweep(base, extra, (0.5,), eval_set, tc).cells[0]
+    listed = data_efficiency_sweep(base, extra, (0.0, 0.5), eval_set, tc).cells[1]
+    assert listed.report.metrics["token_accuracy"] == alone.report.metrics["token_accuracy"]
+    assert listed == alone
+
+
 def test_sweep_validates_fractions(sweep_setup):
     base, extra, eval_set = sweep_setup
     tc = fast_train_config(epochs=1)
