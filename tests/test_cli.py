@@ -502,6 +502,86 @@ def test_non_finite_learning_rate_exits_one_naming_it(pipeline, tmp_path, capsys
     assert not out.exists()
 
 
+def _command_argv(command, pipeline, tmp_path) -> list[str]:
+    """Every required flag of ``command``, its inputs real and its output in ``tmp_path``."""
+    _, corpus, pairs, labeled, ckpt = pipeline
+    doc, qa, out = tmp_path / "doc.txt", tmp_path / "qa.jsonl", tmp_path / "out"
+    doc.write_text("the cat sat on the mat")
+    qa.write_text(json.dumps(GOOD_RECORDS["qa"]) + "\n")
+    return [str(a) for a in {
+        "distill": ["distill", "--corpus", corpus, "--out", out],
+        "label": ["label", "--pairs", pairs, "--out", out],
+        "train": ["train", "--data", labeled, "--out", out],
+        "compress": ["compress", "--checkpoint", ckpt, "--input", doc, "--out", out],
+        "eval": ["eval", "--checkpoint", ckpt, "--data", qa, "--out", out],
+        "sweep": ["sweep", "--base-checkpoint", ckpt, "--extra", labeled,
+                  "--eval-data", labeled, "--fractions", "1.0", "--out-dir", out],
+        "stats": ["stats", "--dataset", pairs],
+    }[command]]
+
+
+# every flag that takes a number or a choice, by the kind it takes
+_TRAINING_FLAG_KINDS = {"--loss": "choice", "--lr": "float", "--batch-size": "int",
+                        "--epochs": "int", "--seed": "int"}
+FLAG_KINDS = {
+    "distill": {"--max-units": "int", "--max-concurrency": "int"},
+    "label": {"--min-match-rate": "float"},
+    "train": _TRAINING_FLAG_KINDS | {flag: "int" for flag in (
+        "--embed-dim", "--layers", "--heads", "--ffn-dim", "--max-seq-len")},
+    "compress": {"--ratio": "float", "--budget": "int"},
+    "eval": {"--ratio": "float", "--budget": "int", "--max-answer-words": "int"},
+    "sweep": _TRAINING_FLAG_KINDS,
+    "stats": {"--bin-width": "float"},
+}
+# values that are not of the kind each flag takes
+_WRONG_KIND_FLAG_VALUES = {"int": ["x", "2.5", ""], "float": ["x", ""], "choice": ["x", ""]}
+WRONG_KIND_FLAGS = [
+    (command, flag, value)
+    for command, kinds in FLAG_KINDS.items()
+    for flag, kind in kinds.items()
+    for value in _WRONG_KIND_FLAG_VALUES[kind]
+]
+
+
+@pytest.mark.parametrize("command, flag, value", WRONG_KIND_FLAGS)
+def test_wrong_kind_flag_value_exits_one_naming_the_flag(pipeline, tmp_path, capsys,
+                                                         command, flag, value):
+    argv = _command_argv(command, pipeline, tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert run_cli(argv + [flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument {flag}: invalid "), err
+    assert repr(value) in err.splitlines()[0]
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("train", "--embed-dim", "0", "embed_dim must be at least 1"),
+    ("train", "--layers", "-1", "num_layers must not be negative"),
+    ("train", "--ffn-dim", "0", "ffn_dim must be at least 1"),
+    ("train", "--max-seq-len", "7", "max_seq_len must be at least 8"),
+    ("train", "--epochs", "0", "epochs must be at least 1"),
+    ("train", "--batch-size", "0", "batch_size must be at least 1"),
+    ("train", "--lr", "0", "learning_rate must be a finite positive number, got 0.0"),
+    ("sweep", "--epochs", "0", "epochs must be at least 1"),
+    ("sweep", "--batch-size", "0", "batch_size must be at least 1"),
+    ("sweep", "--lr", "-1", "learning_rate must be a finite positive number, got -1.0"),
+    ("distill", "--max-units", "0", "max_units must be >= 1"),
+    ("compress", "--ratio", "0", "keep_ratio must lie in (0, 1]"),
+    ("compress", "--ratio", "nan", "keep_ratio must lie in (0, 1]"),
+    ("compress", "--budget", "0", "unit_budget must be a positive word count"),
+    ("eval", "--ratio", "1.5", "keep_ratio must lie in (0, 1]"),
+    ("eval", "--budget", "-2", "unit_budget must be a positive word count"),
+])
+def test_out_of_range_setting_flag_exits_one_naming_the_setting(pipeline, tmp_path, capsys,
+                                                                command, flag, value, message):
+    argv = _command_argv(command, pipeline, tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert run_cli(argv + [flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("argv, message", [
     (["stats", "--bin-width", "nan"], r"bin_width must be a finite positive number, got nan"),
     (["stats", "--bin-width", "1e-300"], r"bin_width 1e-300 makes \S+ bins, over 10000"),
