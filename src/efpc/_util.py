@@ -87,6 +87,7 @@ def write_atomic(path, data: bytes) -> None:
 
     The bytes go to a temporary file next to ``path`` that is then renamed
     over it, so a write that fails part way leaves the previous file whole.
+    An ``OSError`` names ``path``, not the temporary file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -94,6 +95,8 @@ def write_atomic(path, data: bytes) -> None:
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
         raise

@@ -32,7 +32,7 @@ from .align import (
     read_labeled_jsonl,
     write_labeled_jsonl,
 )
-from .compressor import CompressionRequest, compress
+from .compressor import CompressionFailure, CompressionRequest, compress, compress_batch
 from .distill import (
     HttpProvider,
     LlmProvider,
@@ -296,16 +296,20 @@ def cmd_eval(args) -> int:
         types={"context": "string", "question": "string", "answers": "list of strings",
                "instruction": "string"},
     )
-    items = []
-    for context, instruction, qa in records:
-        request = CompressionRequest(
+    requests = [
+        CompressionRequest(
             original=context,
             instruction="" if args.task_agnostic else instruction,
             keep_ratio=ratio,
             unit_budget=budget,
         )
-        items.append((compress(model, request), qa))
-    report = evaluate_downstream(target, items)
+        for context, instruction, _ in records
+    ]
+    results = compress_batch(model, requests)
+    for request, result in zip(requests, results):
+        if isinstance(result, CompressionFailure):
+            compress(model, request)  # raises the first failed item's own error
+    report = evaluate_downstream(target, [(r, qa) for r, (*_, qa) in zip(results, records)])
     settings = {
         "ratio": ratio,
         "budget": budget,
@@ -488,6 +492,11 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:  # -h/--help
         return int(exc.code or 0)
     try:
+        # every output sits next to --out (sweep makes its --out-dir), so one
+        # check, before any input is read, covers them
+        out = getattr(args, "out", None)
+        if out is not None and not Path(out).parent.is_dir():
+            raise ConfigValidationError(f"--out {out}: {Path(out).parent} is not a directory")
         return args.func(args)
     except (EfpcError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,6 +45,8 @@ class ModelConfig:
             raise ValueError("embed_dim must be divisible by num_heads")
         if self.max_seq_len < 8:
             raise ValueError("max_seq_len must be at least 8")
+        if self.seed < 0:  # numpy's generators take none
+            raise ValueError(f"seed must not be negative, got {self.seed}")
 
     @property
     def head_dim(self) -> int:
@@ -71,3 +73,5 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.loss_variant not in LOSS_VARIANTS:
             raise ValueError(f"loss_variant must be one of {LOSS_VARIANTS}")
+        if self.seed < 0:  # one seed rule for the model and the run
+            raise ValueError(f"seed must not be negative, got {self.seed}")

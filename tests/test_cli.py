@@ -465,6 +465,23 @@ def test_divergent_training_exits_two_and_writes_no_checkpoint(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["labeled.jsonl"]
 
 
+@pytest.mark.parametrize("input_readable", [True, False])
+@pytest.mark.parametrize("command", ["distill", "label", "train", "compress", "eval"])
+def test_missing_output_directory_exits_one_before_reading_input(pipeline, tmp_path, capsys,
+                                                                 command, input_readable):
+    argv = _command_argv(command, pipeline, tmp_path)
+    out = tmp_path / "missing" / "out"
+    argv[argv.index("--out") + 1] = str(out)
+    if command in ("compress", "eval"):
+        argv += ["--ratio", "0.5"]
+    if not input_readable:
+        argv[2] = str(tmp_path / "absent")  # the first input flag's value
+    before = sorted(tmp_path.iterdir())
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: {out.parent} is not a directory\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("argv", [
     ["compress", "--checkpoint", "{ckpt}", "--input", "{dir}", "--ratio", "0.5"],
     ["distill", "--corpus", "{corpus}", "--out", "{dir}", "--mock"],
@@ -572,6 +589,8 @@ def test_wrong_kind_flag_value_exits_one_naming_the_flag(pipeline, tmp_path, cap
     ("compress", "--budget", "0", "unit_budget must be a positive word count"),
     ("eval", "--ratio", "1.5", "keep_ratio must lie in (0, 1]"),
     ("eval", "--budget", "-2", "unit_budget must be a positive word count"),
+    ("train", "--seed", "-1", "seed must not be negative, got -1"),
+    ("sweep", "--seed", "-1", "seed must not be negative, got -1"),
 ])
 def test_out_of_range_setting_flag_exits_one_naming_the_setting(pipeline, tmp_path, capsys,
                                                                 command, flag, value, message):
@@ -661,14 +680,21 @@ def test_live_distill_manifest_records_the_teacher_but_not_the_key(tmp_path, mon
     (["distill", "--corpus", "{empty}", "--out", "{out}"], "no documents to distill"),
     (["compress", "--checkpoint", "{ckpt}", "--input", "{doc}", "--ratio", "0.5",
       "--instruction", "{long}", "--out", "{out}"], "300-word instruction leaves no room in 64"),
-], ids=["sweep", "train", "stats", "distill", "compress"])
+    (["eval", "--checkpoint", "{ckpt}", "--data", "{qa}", "--ratio", "0.5", "--out", "{out}"],
+     "300-word instruction leaves no room in 64"),
+], ids=["sweep", "train", "stats", "distill", "compress", "eval"])
 def test_data_too_small_for_the_request_exits_one(pipeline, tmp_path, capsys, argv, message):
     *_, labeled, ckpt = pipeline
     names = {"ckpt": ckpt, "two": tmp_path / "two.jsonl", "empty": tmp_path / "empty.jsonl",
-             "doc": tmp_path / "doc.txt", "out": tmp_path / "out", "long": " ".join(["why"] * 300)}
+             "doc": tmp_path / "doc.txt", "qa": tmp_path / "qa.jsonl", "out": tmp_path / "out",
+             "long": " ".join(["why"] * 300)}
     names["two"].write_text("".join(labeled.read_text().splitlines(keepends=True)[:2]))
     names["empty"].write_text("")
     names["doc"].write_text("the cat sat on the mat")
+    # the second of three items fails; the other two would score
+    records = [GOOD_RECORDS["qa"], {**GOOD_RECORDS["qa"], "instruction": names["long"]},
+               GOOD_RECORDS["qa"]]
+    names["qa"].write_text("".join(json.dumps(r) + "\n" for r in records))
     before = sorted(tmp_path.iterdir())
     assert run_cli([a.format(**names) for a in argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,3 +1,11 @@
+import json
+import os
+import random
+import subprocess
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,9 +24,10 @@ from efpc.compressor import (
     target_keep_count,
 )
 from efpc.errors import InstructionTooLong
+from efpc.model import Model, ModelConfig, ModelParams, init_params, vocab_from_words
 from efpc.text_core import split_words
 
-from helpers import rigged_model
+from helpers import PARITY_POOL, rigged_model
 
 
 def test_request_needs_exactly_one_target():
@@ -216,3 +225,193 @@ def test_result_record_shape(model):
         "n_original": 2,
         "n_kept": 1,
     }
+
+
+# ------------------------------------------------------ two-core scoring
+
+
+def _use_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _random_model(dtype):
+    """A model with spread-out, context-dependent scores: 16-token windows."""
+    vocab = vocab_from_words(PARITY_POOL)
+    config = ModelConfig(vocab_size=vocab.size, embed_dim=16, num_layers=2, num_heads=2,
+                         ffn_dim=32, max_seq_len=16, seed=3)
+    params = init_params(config, dtype)
+    tensors = {k: t if "_gamma" in k else t * dtype(40) for k, t in params.tensors.items()}
+    return Model(config=config, vocab=vocab, params=ModelParams(tensors))
+
+
+def _text(n: int, seed: int) -> str:
+    rng = random.Random(seed)
+    return " ".join(rng.choice(PARITY_POOL) for _ in range(n))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_helper_scores_a_document_bit_identically_to_the_serial_path(monkeypatch, dtype):
+    model = _random_model(dtype)
+    instruction, original = "amber basalt", split_words(_text(50, 1))
+    assert len(compressor._windows(model, instruction, original)) >= 3
+    request = CompressionRequest(" ".join(original), instruction, keep_ratio=0.3)
+    _use_cpus(monkeypatch, 1)
+    serial = score_words(model, instruction, original)
+    serial_result = compress(model, request)
+    _use_cpus(monkeypatch, 2)
+    helped = score_words(model, instruction, original)
+    # the helper holds this model, so it scored the second share
+    assert compressor._helper.alive and compressor._helper.shipped[0]() is model.params
+    assert helped.dtype == np.float64
+    assert np.array_equal(helped, serial)
+    assert compress(model, request) == serial_result
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_with_failures_and_short_and_long_requests_matches_the_serial_path(monkeypatch,
+                                                                                dtype):
+    model = _random_model(dtype)
+    requests = [
+        CompressionRequest(_text(40, 2), "amber", keep_ratio=0.5),
+        CompressionRequest("   ", keep_ratio=0.5),
+        CompressionRequest(_text(9, 3), "cedar delta", unit_budget=4),
+        CompressionRequest(_text(5, 4), " ".join(PARITY_POOL), keep_ratio=0.5),
+        CompressionRequest(_text(12, 5), keep_ratio=0.25),
+        CompressionRequest(_text(33, 6), "ember", unit_budget=10),
+    ]
+    _use_cpus(monkeypatch, 1)
+    serial = compress_batch(model, requests)
+    one_by_one = []
+    for i, request in enumerate(requests):
+        try:
+            one_by_one.append(compress(model, request))
+        except (InstructionTooLong, ValueError) as exc:
+            one_by_one.append(CompressionFailure(index=i, message=str(exc)))
+    _use_cpus(monkeypatch, 2)
+    helped = compress_batch(model, requests)
+    assert compressor._helper.alive and compressor._helper.shipped[0]() is model.params
+    assert helped == serial == one_by_one
+    assert [type(r) for r in helped] == [CompressionResult, CompressionFailure, CompressionResult,
+                                         CompressionFailure, CompressionResult, CompressionResult]
+    assert helped[1].message == "original text has no words"
+
+
+def test_one_usable_cpu_starts_no_process(monkeypatch):
+    def no_fork():
+        raise AssertionError("a helper was started")
+
+    _use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(compressor, "_helper", None)
+    monkeypatch.setattr(compressor, "_Helper", no_fork)
+    model = _random_model(np.float32)
+    text = _text(60, 7)
+    result = compress(model, CompressionRequest(text, "amber", keep_ratio=0.5))
+    batch = compress_batch(model, [CompressionRequest(text, keep_ratio=0.5)] * 3)
+    assert result.n_original == 60 and len(batch) == 3
+    assert compressor._helper is None
+
+
+def test_a_share_that_raises_leaves_no_reply_queued(monkeypatch):
+    model = _random_model(np.float64)
+    original = split_words(_text(70, 8))
+    _use_cpus(monkeypatch, 1)
+    expected = score_words(model, "", original)
+    _use_cpus(monkeypatch, 2)
+
+    def failing(*args):
+        raise RuntimeError("parent share failed")
+
+    with mock.patch.object(compressor, "encode", failing), pytest.raises(RuntimeError):
+        score_words(model, "", original[:50])
+    # a reply left over from the failed call would be read as this call's
+    assert np.array_equal(score_words(model, "", original), expected)
+    assert compressor._helper.alive
+
+
+def test_threads_compressing_at_once_get_the_serial_results(monkeypatch):
+    model = _random_model(np.float32)
+    requests = [CompressionRequest(_text(30 + 7 * i, 20 + i), "amber", keep_ratio=0.5)
+                for i in range(6)]
+    _use_cpus(monkeypatch, 1)
+    expected = [compress(model, r) for r in requests]
+    _use_cpus(monkeypatch, 2)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(compress, model, requests[i % 6]) for i in range(120)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert results == [expected[i % 6] for i in range(120)]
+    assert compressor._helper.alive
+
+
+_LIFECYCLE = """
+import json, os, signal, sys
+from efpc import compressor
+from efpc.compressor import CompressionRequest, compress
+from helpers import rigged_model
+
+os.sched_getaffinity = lambda pid: {0, 1}
+model = rigged_model({"ash": 3.0, "birch": 2.0, "cedar": 1.0, "dune": -1.0, "elm": -2.0})
+request = CompressionRequest("ash elm birch dune cedar " * 12, "birch", keep_ratio=0.4)
+first = compress(model, request)
+pid = compressor._helper.process.pid
+if sys.argv[1] == "kill":
+    os.kill(pid, signal.SIGKILL)
+    second = compress(model, request)
+    try:
+        os.kill(pid, 0)
+        gone = False
+    except ProcessLookupError:
+        gone = True
+    print(json.dumps({"same": second == first, "alive": compressor._helper.alive,
+                      "gone": gone}))
+    compress(model, request)
+    import multiprocessing
+    print(json.dumps({"children": len(multiprocessing.active_children())}))
+print(json.dumps({"pid": pid}), flush=True)
+if sys.argv[1] == "die":
+    os._exit(0)  # no exit handlers: the helper must notice on its own
+"""
+
+
+def _run_lifecycle(mode: str) -> list[dict]:
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(here.parent / "src"), str(here)))}
+    done = subprocess.run([sys.executable, "-c", _LIFECYCLE, mode], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def _gone(pid: int, wait_s: float = 0.0) -> bool:
+    """Whether ``pid`` has exited (a zombie counts) within ``wait_s``."""
+    deadline = time.monotonic() + wait_s
+    while True:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except FileNotFoundError:
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+
+
+@pytest.mark.parametrize("mode", ["exit", "die"])
+def test_helper_does_not_outlive_the_process(mode):
+    # capture_output reads stdout to EOF, so a helper holding it would hang the run
+    (last,) = _run_lifecycle(mode)
+    assert _gone(last["pid"], wait_s=5.0)
+
+
+def test_killed_helper_leaves_results_unchanged_and_no_zombie():
+    checked, children, last = _run_lifecycle("kill")
+    assert checked == {"same": True, "alive": False, "gone": True}
+    # scoring stays serial: no new helper is forked
+    assert children == {"children": 0}
+    assert _gone(last["pid"])

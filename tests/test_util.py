@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efpc import _util
-from efpc._util import read_jsonl, write_jsonl
+from efpc._util import read_jsonl, write_atomic, write_jsonl
 from efpc.cli import _write_json
 from efpc.errors import RecordError
 from efpc.model import save_checkpoint
@@ -105,3 +105,11 @@ def test_write_replaces_previous_file(tmp_path, writer):
     write(path, 1)
     assert path.read_bytes() != before
     assert os.listdir(tmp_path) == ["artifact"]
+
+
+def test_write_into_a_missing_directory_names_the_path_given(tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    with pytest.raises(FileNotFoundError) as err:
+        write_atomic(path, b"{}")
+    assert err.value.filename == str(path)
+    assert str(err.value) == f"[Errno {errno.ENOENT}] No such file or directory: '{path}'"
