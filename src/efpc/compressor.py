@@ -217,7 +217,8 @@ def _usable_helper() -> _Helper | None:
     """This process's helper, forked on first use; None with fewer than two
     usable CPUs or once the helper has failed. Call with _helper_lock held."""
     global _helper
-    if len(os.sched_getaffinity(0)) < 2:
+    # sched_getaffinity is Linux-only; without it scoring stays on one core
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         return None
     if _helper is None or _helper.pid != os.getpid():
         if _helper is not None:

@@ -296,11 +296,15 @@ def test_batch_with_failures_and_short_and_long_requests_matches_the_serial_path
     assert helped[1].message == "original text has no words"
 
 
-def test_one_usable_cpu_starts_no_process(monkeypatch):
+@pytest.mark.parametrize("cpus", [1, None])
+def test_one_usable_cpu_starts_no_process(monkeypatch, cpus):
     def no_fork():
         raise AssertionError("a helper was started")
 
-    _use_cpus(monkeypatch, 1)
+    if cpus is None:  # a platform without sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:
+        _use_cpus(monkeypatch, cpus)
     monkeypatch.setattr(compressor, "_helper", None)
     monkeypatch.setattr(compressor, "_Helper", no_fork)
     model = _random_model(np.float32)
