@@ -6,40 +6,22 @@ probability are kept in their original order — never reordered, never
 paraphrased — so the output is always a subsequence of the input. A word
 budget B is supported by converting it to τ = min(1, B/N) first.
 
-Scoring uses a second core where there is one. A call with two or more
-windows (a long document, or a batch) splits them into two contiguous
-shares of about equal token counts; a helper process scores the second
-share while this process scores the first, and the probabilities are
-joined in window order, the same bits the serial loop gives. One helper
-serves the process: it is forked on the first such call, receives each
-new model once as raw tensor buffers, and is stopped when the process
-exits. With one window, or fewer than two usable CPUs, nothing is forked.
-If the helper dies or fails, this process scores that share itself and
-scores serially from then on.
+Scoring uses a second core where there is one: a call with two or more
+windows (a long document, or a batch) has a helper process score the
+second half of them, with the same bits the serial loop gives (see
+``model.twocore``).
 """
 
 from __future__ import annotations
 
-import atexit
-import gc
-import multiprocessing
-import os
-import signal
-import threading
-import weakref
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from ._util import round_half_up
 from .errors import EfpcError
-from .model import Model, ModelParams, classify, encode, network, window_example
-from .model.losses import PRESERVE_COL
+from .model import Model, classify, encode, twocore, window_example
 from .text_core import split_words
-
-# a window as scored: its token ids and the position of its first original word
-_Window = tuple[tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -106,158 +88,12 @@ def target_keep_count(n: int, tau: float) -> int:
     return min(max(round_half_up(tau * n), 1), n)
 
 
-def _score(params: ModelParams, config, windows: list[_Window], encode, classify) -> np.ndarray:
-    """Preserve probabilities of the windows' original words, one window
-    after another, through the given ``encode`` and ``classify``."""
-    return np.concatenate(
-        [classify(params, encode(params, config, ids))[boundary:, PRESERVE_COL]
-         for ids, boundary in windows]
-    )
-
-
-def _serve(conn, parent_end) -> None:
-    """The helper's loop. A ``("model", config, layout)`` message is
-    followed by one raw buffer per tensor and replaces the model; a
-    ``("score", windows)`` message is answered with the windows' float64
-    probabilities as one raw buffer; ``None`` or a closed pipe ends it.
-    Any failure ends it too: the parent then scores the share itself and
-    meets the same error there, if it is one."""
-    parent_end.close()  # so the parent's exit closes the pipe and ends this loop
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
-    gc.freeze()  # collections leave the pages shared with the parent alone
-    params = config = None
-    try:
-        while (msg := conn.recv()) is not None:
-            if msg[0] == "model":
-                _, config, layout = msg
-                params = ModelParams({
-                    name: np.frombuffer(conn.recv_bytes(), dtype).reshape(shape)
-                    for name, dtype, shape in layout
-                })
-            else:
-                # the package's own ops: a tracer installed in the parent before
-                # the fork would only collect spans here that nobody reads
-                conn.send_bytes(_score(params, config, msg[1], network.encode, network.classify))
-    except Exception:
-        return
-
-
-class _Helper:
-    """A forked process that scores the second share of each call.
-
-    Forked, not spawned: the child starts at once with numpy loaded and
-    shares this process's pages, and it runs only numpy and its pipe.
-    """
-
-    def __init__(self):
-        ctx = multiprocessing.get_context("fork")
-        self.conn, child_end = ctx.Pipe()
-        self.process = ctx.Process(target=_serve, args=(child_end, self.conn), daemon=True)
-        self.process.start()
-        child_end.close()
-        self.pid = os.getpid()
-        # a weak reference to the params the helper holds, and their config:
-        # the helper's copy must not keep the caller's tables alive here
-        self.shipped: tuple[weakref.ref, object] | None = None
-        self.alive = True
-        atexit.register(self.stop)
-
-    def submit(self, params: ModelParams, config, windows: list[_Window]) -> bool:
-        """Send the model unless the helper has it, then the windows; False
-        if the helper is gone."""
-        try:
-            if self.shipped is None or self.shipped[0]() is not params or self.shipped[1] != config:
-                tensors = params.tensors
-                layout = [(name, t.dtype.str, t.shape) for name, t in tensors.items()]
-                self.conn.send(("model", config, layout))
-                for t in tensors.values():
-                    self.conn.send_bytes(np.ascontiguousarray(t))
-                self.shipped = (weakref.ref(params), config)
-            self.conn.send(("score", windows))
-            return True
-        except OSError:
-            self.stop()
-            return False
-
-    def collect(self, n: int) -> np.ndarray | None:
-        """The n probabilities of the submitted windows, or None if the
-        helper failed."""
-        try:
-            probs = np.frombuffer(self.conn.recv_bytes(), np.float64)
-        except (EOFError, OSError):
-            probs = None
-        if probs is None or probs.size != n:
-            self.stop()
-            return None
-        return probs
-
-    def stop(self) -> None:
-        """Ask the helper to exit and reap it, ending it after 1 s; the
-        helper is not used again. Only the process that forked it acts."""
-        if not self.alive or os.getpid() != self.pid:
-            return
-        self.alive = False
-        try:
-            self.conn.send(None)
-        except OSError:
-            pass
-        self.process.join(1.0)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join()
-        self.conn.close()
-
-
-_helper: _Helper | None = None
-# held by the one call at a time that forks or uses the helper
-_helper_lock = threading.Lock()
-
-
-def _usable_helper() -> _Helper | None:
-    """This process's helper, forked on first use; None with fewer than two
-    usable CPUs or once the helper has failed. Call with _helper_lock held."""
-    global _helper
-    # sched_getaffinity is Linux-only; without it scoring stays on one core
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        return None
-    if _helper is None or _helper.pid != os.getpid():
-        if _helper is not None:
-            _helper.conn.close()  # a forked copy of another process's pipe end
-        _helper = _Helper()
-    return _helper if _helper.alive else None
-
-
-def _halfway(windows: list[_Window]) -> int:
-    """How many leading windows hold about half of all the tokens, at
-    least one and leaving at least one."""
-    prefix = list(accumulate(len(ids) for ids, _ in windows))
-    return min(range(1, len(windows)), key=lambda k: abs(2 * prefix[k - 1] - prefix[-1]))
-
-
 def _score_windows(model: Model, windows) -> np.ndarray:
     """Preserve probabilities of every window's original words,
-    concatenated in window order; see the module docstring for the split."""
+    concatenated in window order, on two cores where there are two (see
+    ``model.twocore``)."""
     pairs = [(w.token_ids, w.boundary) for w in windows]
-    params, config = model.params, model.config
-    # while another thread uses the helper, this call runs serially
-    if len(pairs) < 2 or not _helper_lock.acquire(blocking=False):
-        return _score(params, config, pairs, encode, classify)
-    try:
-        helper = _usable_helper()
-        if helper is None:
-            return _score(params, config, pairs, encode, classify)
-        cut = _halfway(pairs)
-        sent = helper.submit(params, config, pairs[cut:])
-        try:
-            first = _score(params, config, pairs[:cut], encode, classify)
-        finally:
-            # read the reply even if this share raised, so none is left queued
-            second = helper.collect(sum(len(ids) - b for ids, b in pairs[cut:])) if sent else None
-    finally:
-        _helper_lock.release()
-    if second is None:
-        second = _score(params, config, pairs[cut:], encode, classify)
-    return np.concatenate([first, second])
+    return twocore.score_windows(model.params, model.config, pairs, encode, classify)
 
 
 def score_words(model: Model, instruction: str, original: tuple[str, ...]) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Trainable word-classification encoder: config, vocab, network, training,
-losses, optimizer, and checkpoint IO."""
+losses, optimizer, checkpoint IO, and the helper process that gives
+scoring and training a second core (``twocore``)."""
 
 from .adam import adam_step, init_adam
 from .bundle import Model, new_model

@@ -26,9 +26,11 @@ leave the float range (see ``_attention``).
 
 The backward pass mirrors the forward step by step; its correctness is
 pinned by a central-finite-difference test over every parameter of a
-small model, so any change here must keep that test green. It adds each
-gradient into a table, so a training batch sums its examples into one
-table with no per-example copy.
+small model, so any change here must keep that test green. It comes in
+two steps: ``gradient_pieces`` computes one example's gradient, one piece
+per tensor, and ``add_pieces`` adds them into a table, so a training
+batch sums its examples into one table, in example order, wherever each
+example's pieces were computed.
 """
 
 from __future__ import annotations
@@ -267,6 +269,54 @@ def classify(params: ModelParams, h: np.ndarray) -> np.ndarray:
     return _softmax_rows(logits)
 
 
+def gradient_pieces(
+    params: ModelParams,
+    config: ModelConfig,
+    example: TokenizedExample,
+    loss_variant: str = TrainConfig.loss_variant,
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """One example's loss, its per-position probabilities and its exact
+    gradient in pieces: the token ids, the gradient ``dx`` of the summed
+    token and position embeddings, and one gradient per other tensor.
+    ``add_pieces`` adds them into a table."""
+    ids, h = _embed(params, config, example.token_ids)
+    caches = []
+    for i in range(config.num_layers):
+        h, cache = _block(h, params, i, config.num_heads)
+        caches.append(cache)
+
+    probs = classify(params, h)
+    loss, dlogits = ce_loss_and_grad(loss_variant, probs, example.labels, example.boundary)
+    # the head runs in float64; the blocks' backward stays in the parameter dtype
+    dlogits = dlogits.astype(h.dtype)
+    pieces = {"cls_w": dlogits.T @ h, "cls_b": dlogits.sum(axis=0)}
+    dx = dlogits @ params["cls_w"]
+
+    for i in reversed(range(config.num_layers)):
+        ln1, gamma1, attn, ln2, gamma2, ffn = caches.pop()
+        db, dw1, dw2 = _ffn_backward(dx, ffn)
+        dx_mid, dgamma2, dbeta2 = _layer_norm_backward(db, ln2, gamma2)
+        dx = dx + dx_mid
+        da, dwq, dwk, dwv, dwo = _self_attention_backward(dx, attn)
+        dx_in, dgamma1, dbeta1 = _layer_norm_backward(da, ln1, gamma1)
+        dx = dx + dx_in
+        layer_grads = (dgamma1, dbeta1, dwq, dwk, dwv, dwo, dgamma2, dbeta2, dw1, dw2)
+        for t, g in zip(LAYER_TENSORS, layer_grads, strict=True):
+            pieces[f"layer{i}.{t}"] = g
+
+    return loss, probs, ids, dx, pieces
+
+
+def add_pieces(
+    grads: dict[str, np.ndarray], ids: np.ndarray, dx: np.ndarray, pieces: dict[str, np.ndarray]
+) -> None:
+    """Add one example's ``gradient_pieces`` into the table ``grads``."""
+    for name, g in pieces.items():
+        grads[name] += g
+    np.add.at(grads["token_emb"], ids, dx)
+    grads["pos_emb"][: ids.size] += dx
+
+
 def backward_detailed(
     params: ModelParams,
     config: ModelConfig,
@@ -281,35 +331,8 @@ def backward_detailed(
     a zero table is made. Passing the returned table back in sums the
     gradients of several examples.
     """
-    ids, h = _embed(params, config, example.token_ids)
-    caches = []
-    for i in range(config.num_layers):
-        h, cache = _block(h, params, i, config.num_heads)
-        caches.append(cache)
+    loss, probs, ids, dx, pieces = gradient_pieces(params, config, example, loss_variant)
     if grads is None:
         grads = {k: np.zeros_like(t) for k, t in params.tensors.items()}
-
-    probs = classify(params, h)
-    loss, dlogits = ce_loss_and_grad(loss_variant, probs, example.labels, example.boundary)
-    # the head runs in float64; the blocks' backward stays in the parameter dtype
-    dlogits = dlogits.astype(h.dtype)
-    grads["cls_w"] += dlogits.T @ h
-    grads["cls_b"] += dlogits.sum(axis=0)
-    dx = dlogits @ params["cls_w"]
-
-    for i in reversed(range(config.num_layers)):
-        ln1, gamma1, attn, ln2, gamma2, ffn = caches.pop()
-        db, dw1, dw2 = _ffn_backward(dx, ffn)
-        dx_mid, dgamma2, dbeta2 = _layer_norm_backward(db, ln2, gamma2)
-        dx = dx + dx_mid
-        da, dwq, dwk, dwv, dwo = _self_attention_backward(dx, attn)
-        dx_in, dgamma1, dbeta1 = _layer_norm_backward(da, ln1, gamma1)
-        dx = dx + dx_in
-        layer_grads = (dgamma1, dbeta1, dwq, dwk, dwv, dwo, dgamma2, dbeta2, dw1, dw2)
-        for t, g in zip(LAYER_TENSORS, layer_grads, strict=True):
-            grads[f"layer{i}.{t}"] += g
-
-    np.add.at(grads["token_emb"], ids, dx)
-    grads["pos_emb"][: ids.size] += dx
-
+    add_pieces(grads, ids, dx, pieces)
     return loss, grads, probs

@@ -3,8 +3,13 @@
 Deterministic by construction: example order is shuffled by a seeded RNG,
 gradients are summed into one table per batch in index order and then
 averaged, and all arithmetic but the float64 head (``network.classify``)
-stays in the parameter dtype. Two runs with the same model, data, and
-config produce identical parameters and reports.
+stays in the parameter dtype. With two usable CPUs, a helper process
+computes the gradient pieces of the second share of each batch of two or
+more windows (see ``twocore``); this process still adds them into the
+table one example at a time, in index order, after its own share, so
+every float add happens in the same order. Two runs with the same model,
+data, and config produce identical parameters and reports, on one core
+or on two.
 
 A run trains only the ``token_emb`` rows its examples use, renumbered
 in id order. Adam leaves a row with zero gradient and zero moments exactly
@@ -31,6 +36,7 @@ import numpy as np
 
 from ..align import LabeledExample
 from ..errors import EmptyDataset, NumericalDivergence
+from . import twocore
 from .adam import adam_step, init_adam
 from .bundle import Model
 from .config import TrainConfig
@@ -78,12 +84,11 @@ def prepare_examples(
     return prepared
 
 
-def _batch_accuracy(probs: np.ndarray, example: TokenizedExample) -> tuple[int, int]:
-    """Correct/total over original positions, predictions by argmax."""
-    preserve = probs[example.boundary :, PRESERVE_COL]
+def _batch_accuracy(preserve: np.ndarray, labels: Sequence[int]) -> tuple[int, int]:
+    """Correct/total over original positions, from their preserve
+    probabilities; predictions by argmax."""
     predicted = (preserve >= 0.5).astype(int)
-    labels = np.asarray(example.labels)
-    return int((predicted == labels).sum()), len(labels)
+    return int((predicted == np.asarray(labels)).sum()), len(labels)
 
 
 # a non-finite loss, gradient or parameter stops training with NumericalDivergence,
@@ -125,16 +130,17 @@ def train(
         total = 0
         for batch_no, lo in enumerate(range(0, len(order), config.batch_size)):
             batch = [examples[i] for i in order[lo : lo + config.batch_size]]
-            for ex in batch:
-                loss, _, probs = backward_detailed(
-                    params, model.config, ex, config.loss_variant, grads
-                )
+            results = twocore.batch_gradients(
+                params, model.config, batch, config.loss_variant, grads, backward_detailed,
+                state.step,
+            )
+            for ex, (loss, probs) in zip(batch, results, strict=True):
                 if not math.isfinite(loss):
                     raise NumericalDivergence(
                         f"epoch {epoch} batch {batch_no}: loss is {loss}"
                     )
                 loss_sum += loss
-                c, t = _batch_accuracy(probs, ex)
+                c, t = _batch_accuracy(probs[ex.boundary :, PRESERVE_COL], ex.labels)
                 correct += c
                 total += t
             for k, g in grads.items():
@@ -177,20 +183,26 @@ def token_accuracy(
 
     ``loss_variant`` controls input construction through
     ``prepare_examples``, exactly as in training; the metric itself is
-    always over original positions.
+    always over original positions. All the windows are scored in one
+    go, so they share the two cores where there are two.
     """
     if not dataset:
         raise EmptyDataset("no examples to score")
-    params = model.params
+    windows = [prepare_examples(model, [ex], loss_variant) for ex in dataset]
+    flat = [(w.token_ids, w.boundary) for ws in windows for w in ws]
+    # an example whose words are all instruction has no window
+    preserve = (twocore.score_windows(model.params, model.config, flat, encode, classify)
+                if flat else np.empty(0))
     per_example: list[float] = []
     correct = 0
     total = 0
-    for ex in dataset:
+    start = 0
+    for ws in windows:
         ex_correct = 0
         ex_total = 0
-        for w in prepare_examples(model, [ex], loss_variant):
-            probs = classify(params, encode(params, model.config, w.token_ids))
-            c, t = _batch_accuracy(probs, w)
+        for w in ws:
+            c, t = _batch_accuracy(preserve[start : start + len(w.labels)], w.labels)
+            start += len(w.labels)
             ex_correct += c
             ex_total += t
         per_example.append(ex_correct / ex_total if ex_total else 0.0)

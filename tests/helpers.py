@@ -8,6 +8,7 @@ assert exact expected outcomes of training on this data.
 
 from __future__ import annotations
 
+import os
 import random
 
 import numpy as np
@@ -90,6 +91,12 @@ def fast_train_config(**overrides) -> TrainConfig:
                 loss_variant="mask", seed=7)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def use_cpus(monkeypatch, n: int) -> None:
+    """Let efpc see ``n`` usable CPUs: with two or more, scoring and
+    training use the helper process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def rigged_model(word_scores: dict[str, float], max_seq_len: int = 16) -> Model:

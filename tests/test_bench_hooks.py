@@ -9,11 +9,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from efpc import compressor
 from efpc.compressor import CompressionRequest
 from efpc.model import UNK_ID, training, window_example
 
-from helpers import PARITY_POOL, fast_train_config, parity_examples, small_model
+from helpers import PARITY_POOL, fast_train_config, parity_examples, small_model, use_cpus
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -36,7 +38,10 @@ def test_every_bench_hook_target_exists():
     assert not missing
 
 
-def test_traced_train_and_compress_record_token_counts_without_errors():
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_traced_train_and_compress_record_token_counts_without_errors(monkeypatch, cpus):
+    # with two CPUs the helper computes the second share of each batch untraced
+    use_cpus(monkeypatch, cpus)
     spans = _spans_module()
     data = parity_examples(6, 2)
     model = small_model(data, embed_dim=8, num_layers=1, num_heads=2, ffn_dim=16)
@@ -53,6 +58,8 @@ def test_traced_train_and_compress_record_token_counts_without_errors():
     names = [s["name"] for s in tracer.spans]
     for name in ("network.backward", "network.forward", "adam.step", "compressor.compress"):
         assert name in names
+    # batches of 4 and 2 windows: this process computes 2 and 1 of them
+    assert names.count("network.backward") == (6 if cpus == 1 else 3)
     for s in tracer.spans:
         assert "error" not in s, s
         if s["name"] in ("network.backward", "network.forward"):

@@ -24,7 +24,7 @@ from efpc.compressor import (
     target_keep_count,
 )
 from efpc.errors import InstructionTooLong
-from efpc.model import Model, ModelConfig, ModelParams, init_params, vocab_from_words
+from efpc.model import Model, ModelConfig, ModelParams, init_params, twocore, vocab_from_words
 from efpc.text_core import split_words
 
 from helpers import PARITY_POOL, rigged_model
@@ -261,7 +261,7 @@ def test_helper_scores_a_document_bit_identically_to_the_serial_path(monkeypatch
     _use_cpus(monkeypatch, 2)
     helped = score_words(model, instruction, original)
     # the helper holds this model, so it scored the second share
-    assert compressor._helper.alive and compressor._helper.shipped[0]() is model.params
+    assert twocore._helper.alive and twocore._helper.shipped[0]() is model.params
     assert helped.dtype == np.float64
     assert np.array_equal(helped, serial)
     assert compress(model, request) == serial_result
@@ -289,7 +289,7 @@ def test_batch_with_failures_and_short_and_long_requests_matches_the_serial_path
             one_by_one.append(CompressionFailure(index=i, message=str(exc)))
     _use_cpus(monkeypatch, 2)
     helped = compress_batch(model, requests)
-    assert compressor._helper.alive and compressor._helper.shipped[0]() is model.params
+    assert twocore._helper.alive and twocore._helper.shipped[0]() is model.params
     assert helped == serial == one_by_one
     assert [type(r) for r in helped] == [CompressionResult, CompressionFailure, CompressionResult,
                                          CompressionFailure, CompressionResult, CompressionResult]
@@ -305,14 +305,14 @@ def test_one_usable_cpu_starts_no_process(monkeypatch, cpus):
         monkeypatch.delattr(os, "sched_getaffinity")
     else:
         _use_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(compressor, "_helper", None)
-    monkeypatch.setattr(compressor, "_Helper", no_fork)
+    monkeypatch.setattr(twocore, "_helper", None)
+    monkeypatch.setattr(twocore, "_Helper", no_fork)
     model = _random_model(np.float32)
     text = _text(60, 7)
     result = compress(model, CompressionRequest(text, "amber", keep_ratio=0.5))
     batch = compress_batch(model, [CompressionRequest(text, keep_ratio=0.5)] * 3)
     assert result.n_original == 60 and len(batch) == 3
-    assert compressor._helper is None
+    assert twocore._helper is None
 
 
 def test_a_share_that_raises_leaves_no_reply_queued(monkeypatch):
@@ -329,7 +329,7 @@ def test_a_share_that_raises_leaves_no_reply_queued(monkeypatch):
         score_words(model, "", original[:50])
     # a reply left over from the failed call would be read as this call's
     assert np.array_equal(score_words(model, "", original), expected)
-    assert compressor._helper.alive
+    assert twocore._helper.alive
 
 
 def test_threads_compressing_at_once_get_the_serial_results(monkeypatch):
@@ -348,20 +348,20 @@ def test_threads_compressing_at_once_get_the_serial_results(monkeypatch):
     finally:
         sys.setswitchinterval(switch)
     assert results == [expected[i % 6] for i in range(120)]
-    assert compressor._helper.alive
+    assert twocore._helper.alive
 
 
 _LIFECYCLE = """
 import json, os, signal, sys
-from efpc import compressor
 from efpc.compressor import CompressionRequest, compress
+from efpc.model import twocore
 from helpers import rigged_model
 
 os.sched_getaffinity = lambda pid: {0, 1}
 model = rigged_model({"ash": 3.0, "birch": 2.0, "cedar": 1.0, "dune": -1.0, "elm": -2.0})
 request = CompressionRequest("ash elm birch dune cedar " * 12, "birch", keep_ratio=0.4)
 first = compress(model, request)
-pid = compressor._helper.process.pid
+pid = twocore._helper.pid
 if sys.argv[1] == "kill":
     os.kill(pid, signal.SIGKILL)
     second = compress(model, request)
@@ -370,11 +370,23 @@ if sys.argv[1] == "kill":
         gone = False
     except ProcessLookupError:
         gone = True
-    print(json.dumps({"same": second == first, "alive": compressor._helper.alive,
+    print(json.dumps({"same": second == first, "alive": twocore._helper.alive,
                       "gone": gone}))
     compress(model, request)
-    import multiprocessing
-    print(json.dumps({"children": len(multiprocessing.active_children())}))
+    try:
+        os.waitpid(-1, os.WNOHANG)  # (0, 0) while a child runs
+        children = 1
+    except ChildProcessError:
+        children = 0
+    print(json.dumps({"children": children}))
+if sys.argv[1] == "fork":
+    child = os.fork()
+    if child == 0:
+        sys.exit(0)  # a normal exit runs the exit handlers the child inherited
+    os.waitpid(child, 0)
+    second = compress(model, request)
+    print(json.dumps({"same": second == first, "alive": twocore._helper.alive,
+                      "same_helper": twocore._helper.pid == pid}))
 print(json.dumps({"pid": pid}), flush=True)
 if sys.argv[1] == "die":
     os._exit(0)  # no exit handlers: the helper must notice on its own
@@ -410,6 +422,12 @@ def _gone(pid: int, wait_s: float = 0.0) -> bool:
 def test_helper_does_not_outlive_the_process(mode):
     # capture_output reads stdout to EOF, so a helper holding it would hang the run
     (last,) = _run_lifecycle(mode)
+    assert _gone(last["pid"], wait_s=5.0)
+
+
+def test_a_forked_child_that_exits_leaves_the_helper_serving():
+    checked, last = _run_lifecycle("fork")
+    assert checked == {"same": True, "alive": True, "same_helper": True}
     assert _gone(last["pid"], wait_s=5.0)
 
 

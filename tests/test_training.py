@@ -29,6 +29,7 @@ from helpers import (
     parity_examples,
     small_model,
     toy_rule_examples,
+    use_cpus,
 )
 
 
@@ -160,16 +161,20 @@ def test_non_finite_parameters_after_a_step_stop_training():
         np.testing.assert_array_equal(t, before[k])
 
 
-def test_non_finite_gradient_stops_training_before_the_update(monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_non_finite_gradient_stops_training_before_the_update(monkeypatch, cpus):
+    use_cpus(monkeypatch, cpus)
     data = toy_rule_examples(6, 3)
     model = small_model(data, embed_dim=16, num_layers=1, num_heads=2, ffn_dim=32)
     original = training.backward_detailed
-    calls = []
+    poisoned_once = []
 
     def poisoned(*args, **kwargs):
         loss, grads, probs = original(*args, **kwargs)
-        calls.append(1)
-        if len(calls) == 5:  # the first example of the third batch
+        # the first example of the third batch, which this process computes
+        # also when the helper takes the second share
+        if len(steps) == 2 and not poisoned_once:
+            poisoned_once.append(1)
             grads["layer0.w1"][0, 0] = np.inf
         return loss, grads, probs
 
