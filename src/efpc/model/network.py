@@ -313,7 +313,20 @@ def add_pieces(
     """Add one example's ``gradient_pieces`` into the table ``grads``."""
     for name, g in pieces.items():
         grads[name] += g
-    np.add.at(grads["token_emb"], ids, dx)
+    add_embedding_gradient(grads, ids, dx)
+
+
+def add_embedding_gradient(grads: dict[str, np.ndarray], ids: np.ndarray, dx: np.ndarray) -> None:
+    """Add the gradient ``dx`` of the summed token and position embeddings
+    into ``grads``. The token rows are scattered through the flat table, one
+    index per element: the adds of ``np.add.at(token_emb, ids, dx)`` in the
+    same order, in about half the time."""
+    emb = grads["token_emb"]
+    if emb.flags.c_contiguous:
+        d = emb.shape[1]
+        np.add.at(emb.reshape(-1), (ids[:, None] * d + np.arange(d)).reshape(-1), dx.reshape(-1))
+    else:
+        np.add.at(emb, ids, dx)
     grads["pos_emb"][: ids.size] += dx
 
 

@@ -6,6 +6,8 @@ checkpoint format and must not change between releases.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +62,38 @@ class ModelParams:
 
     def parameter_count(self) -> int:
         return sum(v.size for v in self.tensors.values())
+
+
+class FlatTable(dict):
+    """Tensors that are consecutive views of one 1-d array, ``flat``, in
+    key order, so that element-wise work can run once over all of them."""
+
+    def __init__(self, flat: np.ndarray, shapes: dict[str, tuple[int, ...]]):
+        super().__init__()
+        at = 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            self[name] = flat[at : at + size].reshape(shape)
+            at += size
+        self.flat = flat[:at]
+        self._views = tuple(self.values())
+
+
+def flat_of(table: dict[str, np.ndarray]) -> np.ndarray | None:
+    """``table.flat`` if ``table`` is a FlatTable that still holds its own
+    views, else None."""
+    views = getattr(table, "_views", None)
+    if views is None or len(views) != len(table):
+        return None
+    return table.flat if all(map(operator.is_, views, table.values())) else None
+
+
+def zeros_like(table: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A table of zeros shaped like ``table``, flat where ``table`` is."""
+    flat = flat_of(table)
+    if flat is None:
+        return {k: np.zeros_like(t) for k, t in table.items()}
+    return FlatTable(np.zeros_like(flat), {k: t.shape for k, t in table.items()})
 
 
 def init_params(config: ModelConfig, dtype=np.float32) -> ModelParams:

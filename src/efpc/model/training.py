@@ -3,7 +3,11 @@
 Deterministic by construction: example order is shuffled by a seeded RNG,
 gradients are summed into one table per batch in index order and then
 averaged, and all arithmetic but the float64 head (``network.classify``)
-stays in the parameter dtype. With two usable CPUs, a helper process
+stays in the parameter dtype. A run keeps its parameters, its gradient
+table and Adam's moments as flat tables of one layout (``FlatTable``), so
+the per-batch checks, the averaging, the Adam step and the zeroing run
+once over all the tensors; each element goes through the same operations
+as it would tensor by tensor. With two usable CPUs, a helper process
 computes the gradient pieces of the second share of each batch of two or
 more windows (see ``twocore``); this process still adds them into the
 table one example at a time, in index order, after its own share, so
@@ -18,7 +22,8 @@ the rows the data uses rather than the vocabulary size.
 
 Training stops with NumericalDivergence at the first example whose loss,
 or batch whose gradient or stepped parameters, is not finite, rather than
-carrying NaNs on to the end.
+carrying NaNs on to the end. A model whose tensors do not all have one
+dtype is refused with ShapeMismatch before training starts.
 
 Incremental training is just calling train() on a loaded model; joint
 training is calling it on the concatenation of the datasets.
@@ -35,14 +40,14 @@ from typing import Sequence
 import numpy as np
 
 from ..align import LabeledExample
-from ..errors import EmptyDataset, NumericalDivergence
+from ..errors import EmptyDataset, NumericalDivergence, ShapeMismatch
 from . import twocore
 from .adam import adam_step, init_adam
 from .bundle import Model
 from .config import TrainConfig
 from .losses import PRESERVE_COL
 from .network import backward_detailed, classify, encode
-from .params import ModelParams
+from .params import FlatTable, ModelParams
 from .tokenizer import TokenizedExample, window_example
 
 logger = logging.getLogger(__name__)
@@ -114,64 +119,73 @@ def train(
         for ex in examples
     ]
     emb = model.params["token_emb"]
-    params = ModelParams(
-        {k: emb[rows] if k == "token_emb" else t.copy() for k, t in model.params.tensors.items()}
-    )
-    state = init_adam(params)
-    # one table for the run, zeroed again after each step
-    grads = {k: np.zeros_like(t) for k, t in params.tensors.items()}
+    if any(t.dtype != emb.dtype for t in model.params.tensors.values()):
+        raise ShapeMismatch("parameter tensors must all have one dtype")
+    shapes = {k: (rows.size, *emb.shape[1:]) if k == "token_emb" else t.shape
+              for k, t in model.params.tensors.items()}
+    longest = max(len(ex.token_ids) for ex in examples)
     stats: list[EpochStats] = []
 
-    for epoch in range(config.epochs):
-        order = list(range(len(examples)))
-        rng.shuffle(order)
-        loss_sum = 0.0
-        correct = 0
-        total = 0
-        for batch_no, lo in enumerate(range(0, len(order), config.batch_size)):
-            batch = [examples[i] for i in order[lo : lo + config.batch_size]]
-            results = twocore.batch_gradients(
-                params, model.config, batch, config.loss_variant, grads, backward_detailed,
-                state.step,
+    with twocore.TrainingRun(shapes, emb.dtype, model.config, longest,
+                             config.batch_size) as run:
+        # flat tables: the checks, the averaging, Adam and the zeroing after
+        # each step run once over all the tensors
+        params, grads = run.params, run.grads
+        for k, t in params.tensors.items():
+            if k == "token_emb":
+                np.take(emb, rows, axis=0, out=t)
+            else:
+                t[...] = model.params[k]
+        state = init_adam(params)
+        for epoch in range(config.epochs):
+            order = list(range(len(examples)))
+            rng.shuffle(order)
+            loss_sum = 0.0
+            correct = 0
+            total = 0
+            for batch_no, lo in enumerate(range(0, len(order), config.batch_size)):
+                batch = [examples[i] for i in order[lo : lo + config.batch_size]]
+                where = f"epoch {epoch} batch {batch_no}"
+                results = run.gradients(batch, config.loss_variant, backward_detailed)
+                for ex, (loss, probs) in zip(batch, results, strict=True):
+                    if not math.isfinite(loss):
+                        raise NumericalDivergence(f"{where}: loss is {loss}")
+                    loss_sum += loss
+                    c, t = _batch_accuracy(probs[ex.boundary :, PRESERVE_COL], ex.labels)
+                    correct += c
+                    total += t
+                if (name := _non_finite(grads)) is not None:
+                    raise NumericalDivergence(f"{where}: {name} gradient is not finite")
+                grads.flat /= len(batch)
+                adam_step(params, grads, state, config)
+                if (name := _non_finite(params.tensors)) is not None:
+                    raise NumericalDivergence(f"{where}: {name} is not finite after the step")
+                grads.flat.fill(0)
+            stats.append(
+                EpochStats(
+                    epoch=epoch,
+                    loss=loss_sum / len(examples),
+                    token_accuracy=correct / total if total else 0.0,
+                )
             )
-            for ex, (loss, probs) in zip(batch, results, strict=True):
-                if not math.isfinite(loss):
-                    raise NumericalDivergence(
-                        f"epoch {epoch} batch {batch_no}: loss is {loss}"
-                    )
-                loss_sum += loss
-                c, t = _batch_accuracy(probs[ex.boundary :, PRESERVE_COL], ex.labels)
-                correct += c
-                total += t
-            for k, g in grads.items():
-                if not np.isfinite(g).all():
-                    raise NumericalDivergence(
-                        f"epoch {epoch} batch {batch_no}: {k} gradient is not finite"
-                    )
-                g /= len(batch)
-            adam_step(params, grads, state, config)
-            for k, t in params.tensors.items():
-                if not np.isfinite(t).all():
-                    raise NumericalDivergence(
-                        f"epoch {epoch} batch {batch_no}: {k} is not finite after the step"
-                    )
-            for g in grads.values():
-                g.fill(0)
-        stats.append(
-            EpochStats(
-                epoch=epoch,
-                loss=loss_sum / len(examples),
-                token_accuracy=correct / total if total else 0.0,
+            logger.debug(
+                "epoch %d: loss %.6f accuracy %.4f", epoch, stats[-1].loss, stats[-1].token_accuracy
             )
-        )
-        logger.debug(
-            "epoch %d: loss %.6f accuracy %.4f", epoch, stats[-1].loss, stats[-1].token_accuracy
-        )
 
-    emb = emb.copy()
-    emb[rows] = params["token_emb"]
-    trained = ModelParams({**params.tensors, "token_emb": emb})
+        # copied out before the run ends: the next run writes over its tables
+        emb = emb.copy()
+        emb[rows] = params["token_emb"]
+        trained = ModelParams(
+            {k: emb if k == "token_emb" else t.copy() for k, t in params.tensors.items()}
+        )
     return replace(model, params=trained), TrainReport(epochs=tuple(stats))
+
+
+def _non_finite(table: FlatTable) -> str | None:
+    """The first tensor of the flat table that holds a non-finite value, if any."""
+    if np.isfinite(table.flat).all():
+        return None
+    return next(k for k, t in table.items() if not np.isfinite(t).all())
 
 
 def token_accuracy(

@@ -16,13 +16,21 @@ results are joined in order:
 This process's share goes through the functions the caller passes in;
 the helper calls ``network``'s own.
 
-One helper serves the process. It is forked on the first such call and
-receives each model as raw tensor buffers: once per parameter table for
-scoring, and again after every Adam step in training, which updates the
-table in place. It is stopped when the process exits, and exits by itself
-when this process dies. With one window or example, or fewer than two
-usable CPUs, nothing is forked. If the helper dies or fails, this process
-computes that share itself and stays serial from then on.
+One helper serves the process. It is forked on the first such call and is
+stopped when the process exits; it exits by itself when this process
+dies. Scoring sends it each model as raw tensor buffers, once per
+parameter table. Training shares memory with it instead: a
+``TrainingRun`` keeps the run's parameters in a mapping that both
+processes map, so the helper reads the parameters Adam updated in place,
+writes each example's gradient pieces into a reply area of the same
+mapping, and answers each batch with one short message. The process keeps
+one such mapping, replaced by a larger one only when a run needs more
+room; its descriptor goes to the helper once per mapping.
+
+With one window or example, or fewer than two usable CPUs, nothing is
+forked; without ``os.memfd_create`` training stays serial. If the helper
+dies or fails, this process computes that share itself and stays serial
+from then on.
 """
 
 from __future__ import annotations
@@ -37,17 +45,16 @@ import threading
 import time
 import weakref
 from itertools import accumulate
+from multiprocessing import reduction
 
 import numpy as np
 
 from . import network
 from .losses import PRESERVE_COL
-from .params import ModelParams
+from .params import FlatTable, ModelParams
 
 # a window as scored: its token ids and the position of its first original word
 Window = tuple[tuple[int, ...], int]
-# the name, dtype and shape of each array in a packed buffer, in order
-Layout = list[tuple[str, str, tuple[int, ...]]]
 
 # about the most bytes of gradient pieces the helper holds for one reply;
 # a batch whose second half would need more is worked on in rounds
@@ -63,59 +70,67 @@ def _score(params: ModelParams, config, windows: list[Window], encode, classify)
     )
 
 
-def _pack(parts: dict[str, np.ndarray]) -> np.ndarray:
-    """The arrays' bytes, one after another."""
-    return np.concatenate([np.ascontiguousarray(a).reshape(-1).view(np.uint8)
-                           for a in parts.values()])
+def _pieces(table: FlatTable) -> np.ndarray:
+    """The flat table after its two embeddings: what an example's gradient
+    pieces cover, one after another in table order."""
+    return table.flat[table["token_emb"].size + table["pos_emb"].size :]
 
 
-def _unpack(buf, layout: Layout) -> dict[str, np.ndarray]:
-    """The arrays ``_pack`` wrote into ``buf``, as views of it."""
-    parts, at = {}, 0
-    for name, dtype, shape in layout:
-        parts[name] = np.frombuffer(buf, dtype, math.prod(shape), at).reshape(shape)
-        at += parts[name].nbytes
-    return parts
+def _slot_bytes(length: int, table: FlatTable) -> int:
+    """The bytes of the reply slot of a window of ``length`` tokens, for
+    tensors laid out as ``table``, rounded up to 64."""
+    width = table["pos_emb"].shape[1]
+    nbytes = 8 * (1 + 2 * length) + table.flat.itemsize * (length * width + _pieces(table).size)
+    return -(-nbytes // 64) * 64
 
 
-def _nbytes(layout: Layout) -> int:
-    """The size of the buffer ``_pack`` writes for ``layout``."""
-    return sum(np.dtype(dtype).itemsize * math.prod(shape) for _, dtype, shape in layout)
+def _slots(shared, at: int, lengths: list[int], table: FlatTable) -> list:
+    """``(loss, probs, dx, pieces)`` views of the reply slots of windows of
+    the given lengths, packed one after another from byte ``at`` of
+    ``shared``: the loss and the probabilities in float64, the embedding
+    gradient ``dx`` and the pieces in the dtype of ``table``, which gives
+    the layout."""
+    width, n_pieces = table["pos_emb"].shape[1], _pieces(table).size
+    slots = []
+    for n in lengths:
+        head = np.frombuffer(shared, np.float64, 1 + 2 * n, at)
+        body = np.frombuffer(shared, table.flat.dtype, n * width + n_pieces, at + head.nbytes)
+        slots.append((head[:1], head[1:].reshape(n, 2), body[: n * width].reshape(n, width),
+                      body[n * width :]))
+        at += _slot_bytes(n, table)
+    return slots
 
 
-def _send_gradients(conn, params: ModelParams, config, examples, loss_variant: str) -> None:
-    """Compute every example's gradient pieces, then send their layouts
-    and, as bare bytes on the pipe, one ``_pack`` buffer per example.
-    Computing first keeps a full pipe from stalling the work while the
-    caller is busy with its own share; bare bytes let the caller read each
-    example into one buffer it reuses."""
-    layouts, replies = [], []
+def _write_gradients(shared, run, examples, loss_variant: str) -> None:
+    """Write every example's loss, probabilities and gradient pieces into
+    its reply slot of ``shared``."""
+    params, config, reply_at = run
+    names = list(params.tensors)[2:]  # every tensor after the two embeddings
+    slots = _slots(shared, reply_at, [len(ex.token_ids) for ex in examples], params.tensors)
     # as in training: a non-finite loss is the caller's to report
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for ex in examples:
-            loss, probs, _, dx, pieces = network.gradient_pieces(params, config, ex, loss_variant)
-            parts = {"loss": np.array([loss]), "probs": probs, "dx": dx, **pieces}
-            layouts.append([(name, a.dtype.str, a.shape) for name, a in parts.items()])
-            replies.append(_pack(parts))
-    conn.send(layouts)
-    for buf in replies:
-        view = memoryview(buf)
-        while view:
-            view = view[os.write(conn.fileno(), view) :]
+        for ex, (loss, probs, dx, flat) in zip(examples, slots):
+            value, p, _, d, pieces = network.gradient_pieces(params, config, ex, loss_variant)
+            loss[0], probs[...], dx[...] = value, p, d
+            np.concatenate([pieces[k].reshape(-1) for k in names], out=flat)
 
 
 def _serve(conn, parent_end) -> None:
     """The helper's loop. A ``("model", config, layout)`` message is
-    followed by one raw buffer per tensor and replaces the model; a
-    ``("score", windows)`` message is answered with the windows' float64
-    probabilities as one raw buffer, and a ``("grads", examples,
-    loss_variant)`` one by ``_send_gradients``; ``None`` or a closed pipe
-    ends it. Any failure ends it too: the parent then computes the share
-    itself and meets the same error there, if it is one."""
+    followed by one raw buffer per tensor and replaces the model that
+    ``("score", windows)`` messages are scored with; they are answered
+    with the windows' float64 probabilities as one raw buffer. A
+    ``("map", size)`` message is followed by the descriptor of the
+    training mapping, and a ``("run", config, dtype, shapes, reply_at)``
+    one places a run's parameters at its start; each ``("grads", examples,
+    loss_variant)`` is answered, once ``_write_gradients`` is done, with an
+    empty message. ``None`` or a closed pipe ends the loop. Any failure
+    ends it too: the parent then computes the share itself and meets the
+    same error there, if it is one."""
     parent_end.close()  # so the parent's exit closes the pipe and ends this loop
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
     gc.freeze()  # collections leave the pages shared with the parent alone
-    params = config = None
+    params = config = shared = run = None
     try:
         while (msg := conn.recv()) is not None:
             if msg[0] == "model":
@@ -128,8 +143,22 @@ def _serve(conn, parent_end) -> None:
                 # the package's own ops: a tracer installed in the parent before
                 # the fork would only collect spans here that nobody reads
                 conn.send_bytes(_score(params, config, msg[1], network.encode, network.classify))
+            elif msg[0] == "map":
+                import mmap
+
+                fd = reduction.recv_handle(conn)
+                try:
+                    shared = mmap.mmap(fd, msg[1])
+                finally:
+                    os.close(fd)
+            elif msg[0] == "run":
+                _, run_config, dtype, shapes, reply_at = msg
+                size = sum(math.prod(shape) for shape in shapes.values())
+                tensors = FlatTable(np.frombuffer(shared, dtype, size), shapes)
+                run = (ModelParams(tensors), run_config, reply_at)
             else:
-                _send_gradients(conn, params, config, *msg[1:])
+                _write_gradients(shared, run, *msg[1:])
+                conn.send_bytes(b"")
     except Exception:
         return
 
@@ -153,29 +182,64 @@ class _Helper:
             finally:
                 os._exit(0)  # no exit handlers: they are the parent's
         child_end.close()
-        # a weak reference to the params the helper holds, their config and
-        # their version: the helper's copy must not keep the caller's tables alive
-        self.shipped: tuple[weakref.ref, object, object] | None = None
+        # a weak reference to the params the helper scores with and their
+        # config: the helper's copy must not keep the caller's tables alive
+        self.shipped: tuple[weakref.ref, object] | None = None
+        # the training mapping this process shares with the helper
+        self.shared = None
         self.alive = True
         atexit.register(self.stop)
 
-    def submit(self, params: ModelParams, config, request: tuple, version=None) -> bool:
-        """Send the model unless the helper has this version of it, then
-        the request; False if the helper is gone."""
+    def send(self, msg) -> bool:
+        """Send one message; False, with the helper stopped, if it is gone."""
+        try:
+            self.conn.send(msg)
+            return True
+        except OSError:
+            self.stop()
+            return False
+
+    def submit(self, params: ModelParams, config, request: tuple) -> bool:
+        """Send the model unless the helper scores with it already, then the
+        request; False if the helper is gone."""
         try:
             if (self.shipped is None or self.shipped[0]() is not params
-                    or self.shipped[1:] != (config, version)):
+                    or self.shipped[1] != config):
                 tensors = params.tensors
                 layout = [(name, t.dtype.str, t.shape) for name, t in tensors.items()]
                 self.conn.send(("model", config, layout))
                 for t in tensors.values():
                     self.conn.send_bytes(np.ascontiguousarray(t))
-                self.shipped = (weakref.ref(params), config, version)
-            self.conn.send(request)
-            return True
+                self.shipped = (weakref.ref(params), config)
         except OSError:
             self.stop()
             return False
+        return self.send(request)
+
+    def mapping(self, nbytes: int):
+        """The mapping this process shares with the helper, of at least
+        ``nbytes``: made, or replaced by one of twice the size or more, with
+        its descriptor sent, when it is too small. None, with the helper
+        stopped, if that failed."""
+        if self.shared is not None and len(self.shared) >= nbytes:
+            return self.shared
+        import mmap  # here, so that importing efpc does not load it
+
+        size = max(nbytes, 2 * len(self.shared)) if self.shared is not None else nbytes
+        try:
+            fd = os.memfd_create("efpc-train", os.MFD_CLOEXEC)
+            try:
+                os.ftruncate(fd, size)  # untouched pages take no memory
+                shared = mmap.mmap(fd, size)
+                self.conn.send(("map", size))
+                reduction.send_handle(self.conn, fd, self.pid)
+            finally:
+                os.close(fd)
+        except OSError:
+            self.stop()
+            return None
+        self.shared = shared
+        return shared
 
     def _read(self, read):
         """``read()``, or None, with the helper stopped, if it failed."""
@@ -196,31 +260,13 @@ class _Helper:
             return None
         return np.frombuffer(buf, np.float64)
 
-    def receive(self):
-        """The next pickled reply message, or None if the helper failed."""
-        return self._read(self.conn.recv)
-
-    def read_into(self, view: np.ndarray) -> bool:
-        """Fill ``view`` with the next bare bytes of the reply; False if
-        the helper failed."""
-
-        def read():
-            got = 0
-            while got < view.nbytes:
-                n = os.readv(self.conn.fileno(), [view[got:]])
-                if n == 0:
-                    raise EOFError
-                got += n
-            return True
-
-        return self._read(read) is not None
-
     def stop(self) -> None:
         """Ask the helper to exit and reap it, killing it after 1 s; the
         helper is not used again. Only the process that forked it acts."""
         if not self.alive or os.getpid() != self.owner:
             return
         self.alive = False
+        self.shared = None  # unmapped once no run's arrays view it
         try:
             self.conn.send(None)
         except OSError:
@@ -252,7 +298,10 @@ def _usable_helper() -> _Helper | None:
         return None
     if _helper is None or _helper.owner != os.getpid():
         if _helper is not None:
-            _helper.conn.close()  # a forked copy of another process's pipe end
+            # a forked copy of another process's helper: its pipe end is
+            # closed and its mapping left, so this process never writes into it
+            _helper.conn.close()
+            _helper.shared = None
         _helper = _Helper()
     return _helper if _helper.alive else None
 
@@ -291,67 +340,102 @@ def score_windows(params: ModelParams, config, windows: list[Window], encode,
     return np.concatenate([first, second])
 
 
-def batch_gradients(
-    params: ModelParams, config, batch, loss_variant: str, grads: dict[str, np.ndarray],
-    backward, version,
-) -> list[tuple[float, np.ndarray]]:
-    """Each example's loss and probabilities, in batch order, with its
-    gradient added into ``grads`` in that order: the bits of calling
-    ``backward(params, config, example, loss_variant, grads)`` on each
-    example in turn, which is what this process does for its share.
-    ``version`` names the state of ``params``; the helper is sent the
-    tensors again whenever it changes."""
+class TrainingRun:
+    """One training run's tables, and the helper that works on the second
+    share of each of its batches.
 
-    def serial(examples):
-        out = []
-        for ex in examples:
-            loss, _, probs = backward(params, config, ex, loss_variant, grads)
-            out.append((loss, probs))
-        return out
+    ``params`` is a FlatTable of the given shapes, whose embeddings come
+    first; ``grads`` is a zero FlatTable of the same layout. With a usable
+    helper, the parameters sit at the start of the shared mapping, and the
+    run holds the helper from ``__enter__`` to ``__exit__``; otherwise
+    they are private and every batch runs serially. The caller fills the
+    parameters in before the first batch.
+    """
 
-    def helpers_share(helper, examples):
-        """Read the helper's reply for the examples and add each one's
-        pieces in turn; from where the helper fails on, compute them here."""
-        layouts = helper.receive()
-        sizes = [_nbytes(layout) for layout in layouts or ()]
-        space = np.empty(max(sizes, default=0), np.uint8)  # one example's reply
-        out = []
-        for i, ex in enumerate(examples):
-            if layouts is None or not helper.read_into(space[: sizes[i]]):
-                return out + serial(examples[i:])
-            parts = _unpack(space[: sizes[i]], layouts[i])
-            loss, probs, dx = parts.pop("loss"), parts.pop("probs"), parts.pop("dx")
-            network.add_pieces(grads, np.asarray(ex.token_ids, np.int64), dx, parts)
-            out.append((float(loss[0]), probs.copy()))  # space is read into again
-        return out
-
-    if len(batch) < 2 or not _helper_lock.acquire(blocking=False):
-        return serial(batch)
-    try:
-        helper = _usable_helper()
-        if helper is None:
-            return serial(batch)
+    def __init__(self, shapes: dict[str, tuple[int, ...]], dtype, config, longest: int,
+                 batch_size: int):
+        self.config = config
+        self.helper = self.shared = None
+        size = sum(math.prod(shape) for shape in shapes.values())
+        self.grads = FlatTable(np.zeros(size, dtype), shapes)
         # an example's pieces take about the bytes of every tensor but token_emb
-        per_example = sum(t.nbytes for name, t in params.tensors.items() if name != "token_emb")
-        size = 2 * max(1, _REPLY_BYTES // per_example)
+        per_example = (size - self.grads["token_emb"].size) * self.grads.flat.itemsize
+        self.round = 2 * max(1, _REPLY_BYTES // per_example)
+        # the most windows the helper takes in one round, each of the longest
+        share = min(self.round, batch_size) - 1
+        if share > 0 and hasattr(os, "memfd_create") and _helper_lock.acquire(blocking=False):
+            self._take_helper(shapes, share * _slot_bytes(longest, self.grads))
+        if self.helper is None:
+            flat = np.empty(size, dtype)
+        else:
+            flat = np.frombuffer(self.shared, dtype, size)
+        self.params = ModelParams(FlatTable(flat, shapes))
+
+    def _take_helper(self, shapes, reply_bytes: int) -> None:
+        """Hold the helper and the mapping for this run, or release the lock."""
+        helper = _usable_helper()
+        self.reply_at = -(-self.grads.flat.nbytes // 64) * 64
+        shared = helper.mapping(self.reply_at + reply_bytes) if helper is not None else None
+        if shared is not None and helper.send(("run", self.config, self.grads.flat.dtype.str,
+                                                shapes, self.reply_at)):
+            self.helper, self.shared = helper, shared
+        else:
+            _helper_lock.release()
+
+    def __enter__(self) -> TrainingRun:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.helper is not None:
+            self.helper = None
+            _helper_lock.release()
+
+    def gradients(self, batch, loss_variant: str, backward) -> list[tuple[float, np.ndarray]]:
+        """Each example's loss and probabilities, in batch order, with its
+        gradient added into ``grads`` in that order: the bits of calling
+        ``backward(params, config, example, loss_variant, grads)`` on each
+        example in turn, which is what this process does for its share."""
+
+        def serial(examples):
+            out = []
+            for ex in examples:
+                loss, _, probs = backward(self.params, self.config, ex, loss_variant, self.grads)
+                out.append((loss, probs))
+            return out
+
+        helper = self.helper
+        if len(batch) < 2 or helper is None or not helper.alive:
+            return serial(batch)
         out = []
-        for lo in range(0, len(batch), size):
-            examples = batch[lo : lo + size]
+        for lo in range(0, len(batch), self.round):
+            examples = batch[lo : lo + self.round]
             if len(examples) < 2:
                 out += serial(examples)
                 continue
             cut = _halfway([len(ex.token_ids) for ex in examples])
-            if not helper.submit(params, config, ("grads", examples[cut:], loss_variant), version):
+            if not helper.send(("grads", examples[cut:], loss_variant)):
                 out += serial(examples)
                 continue
             try:
                 out += serial(examples[:cut])
-                out += helpers_share(helper, examples[cut:])
+                done = helper._read(helper.conn.recv_bytes)
             except BaseException:
-                # a reply left unread, or read in part, would be taken for
-                # the next call's: the helper is not used again
+                # a reply left unread would be taken for the next batch's:
+                # the helper is not used again
                 helper.stop()
                 raise
+            out += serial(examples[cut:]) if done is None else self._add_reply(examples[cut:])
         return out
-    finally:
-        _helper_lock.release()
+
+    def _add_reply(self, examples) -> list[tuple[float, np.ndarray]]:
+        """Add the helper's pieces of each example into ``grads`` in turn."""
+        tail = _pieces(self.grads)
+        lengths = [len(ex.token_ids) for ex in examples]
+        out = []
+        for ex, (loss, probs, dx, pieces) in zip(
+            examples, _slots(self.shared, self.reply_at, lengths, self.grads)
+        ):
+            tail += pieces
+            network.add_embedding_gradient(self.grads, np.asarray(ex.token_ids, np.int64), dx)
+            out.append((float(loss[0]), probs.copy()))  # the slots are written again
+        return out

@@ -4,11 +4,14 @@ import pytest
 from efpc.errors import ShapeMismatch
 from efpc.model import (
     ModelConfig,
+    ModelParams,
     TrainConfig,
     adam_step,
     init_adam,
     init_params,
 )
+from efpc.model import adam
+from efpc.model.params import FlatTable, flat_of
 
 from helpers import zeros_like_params
 
@@ -112,3 +115,26 @@ def test_train_config_validation():
     for lr in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning_rate must be a finite positive number"):
             TrainConfig(learning_rate=lr)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_flat_step_in_blocks_gives_the_bits_of_a_step_per_tensor(monkeypatch, dtype):
+    # blocks of 7 elements straddle every tensor boundary
+    monkeypatch.setattr(adam, "_BLOCK", 7)
+    rng = np.random.default_rng(5)
+    dense = init_params(CFG, dtype=dtype)
+    shapes = {k: t.shape for k, t in dense.tensors.items()}
+    flat = ModelParams(FlatTable(np.concatenate([t.reshape(-1) for t in dense.tensors.values()]),
+                                 shapes))
+    dense_state, flat_state = init_adam(dense), init_adam(flat)
+    assert flat_of(flat_state.m) is not None and flat_of(dense_state.m) is None
+    tc = TrainConfig(learning_rate=1e-2)
+    for _ in range(3):
+        grads = {k: rng.standard_normal(t.shape).astype(dtype) for k, t in dense.tensors.items()}
+        flat_grads = FlatTable(np.concatenate([g.reshape(-1) for g in grads.values()]), shapes)
+        adam_step(dense, grads, dense_state, tc)
+        adam_step(flat, flat_grads, flat_state, tc)
+    for got, want in ((flat.tensors, dense.tensors), (flat_state.m, dense_state.m),
+                      (flat_state.v, dense_state.v)):
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name

@@ -354,3 +354,26 @@ def test_pieces_added_in_order_give_the_bytes_of_backward_detailed(case):
     for name, table in want.items():
         assert got[name].dtype == table.dtype == dtype, name
         assert got[name].tobytes() == table.tobytes(), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]), st.booleans(), st.data())
+def test_the_embedding_scatter_gives_the_bytes_of_a_row_scatter(dtype, c_order, data):
+    rows = data.draw(st.integers(1, 6))  # few rows, so ids repeat
+    width = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(1, CFG.max_seq_len))
+    ids = np.array(data.draw(st.lists(st.integers(0, rows - 1), min_size=n, max_size=n)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # magnitudes far apart, so adding one row's values in another order rounds differently
+    start = (rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-6, 7, (rows, width)))
+    dx = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-6, 7, (n, width))
+    start, dx = start.astype(dtype), dx.astype(dtype)
+    grads = {"token_emb": np.array(start, order="C" if c_order else "F"),
+             "pos_emb": np.zeros((CFG.max_seq_len, width), dtype)}
+    network.add_embedding_gradient(grads, ids, dx)
+    want = start.copy()
+    np.add.at(want, ids, dx)
+    assert grads["token_emb"].dtype == dtype
+    assert np.ascontiguousarray(grads["token_emb"]).tobytes() == want.tobytes()
+    assert grads["pos_emb"][:n].tobytes() == dx.tobytes()
+    assert not grads["pos_emb"][n:].any()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efpc.align import LabeledExample
-from efpc.errors import EmptyDataset, NumericalDivergence
+from efpc.errors import EmptyDataset, NumericalDivergence, ShapeMismatch
 from efpc.model import (
     Model,
     ModelConfig,
@@ -303,3 +303,12 @@ def test_adam_sees_only_the_embedding_rows_the_data_touches(monkeypatch):
                           model.params["token_emb"][untouched])
     assert not np.array_equal(trained.params["token_emb"][touched],
                               model.params["token_emb"][touched])
+
+
+def test_a_model_whose_tensors_mix_dtypes_is_refused():
+    # a run's tables are flat arrays of one dtype
+    data = parity_examples(4, 1)
+    model = small_model(data, embed_dim=16, num_layers=1, num_heads=2, ffn_dim=32)
+    mixed = ModelParams({**model.params.tensors, "cls_b": model.params["cls_b"].astype(np.float64)})
+    with pytest.raises(ShapeMismatch, match="^parameter tensors must all have one dtype$"):
+        train(replace(model, params=mixed), data, fast_train_config(epochs=1))

@@ -1,10 +1,14 @@
 """Training and held-out scoring on two cores give the bits of one core,
 and the helper's failures leave them so."""
 
+import mmap
 import os
 import random
 import signal
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,3 +216,138 @@ def test_one_usable_cpu_trains_and_scores_without_a_process(monkeypatch):
     trained, _ = train(model, data, fast_train_config(epochs=1, batch_size=4))
     token_accuracy(trained, data)
     assert twocore._helper is None
+
+
+def _memfd_descriptors() -> set[str]:
+    """This process's open descriptors of memory files; a mapping object
+    holds one while it lives."""
+    fds = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            if os.readlink(f"/proc/self/fd/{fd}").startswith("/memfd:"):
+                fds.add(fd)
+        except FileNotFoundError:  # the descriptor listdir itself used
+            pass
+    return fds
+
+
+def _training_mappings() -> set[str]:
+    """The address ranges of this process's training mappings."""
+    with open("/proc/self/maps") as fh:
+        return {line.split()[0] for line in fh if "memfd:efpc-train" in line}
+
+
+def _growing_datasets() -> list[list[LabeledExample]]:
+    """Five datasets with ever longer windows, so each run needs more room."""
+    return [parity_examples(6, seed, n_words) for seed, n_words in enumerate((4, 6, 9, 12, 14))]
+
+
+def test_runs_in_one_process_share_one_mapping_and_no_descriptor(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(twocore, "_helper", None)  # this test's own helper
+    # the helper other tests share may hold a mapping of its own
+    before, fds = _training_mappings(), _memfd_descriptors()
+    try:
+        for data in _growing_datasets():
+            train(_model(data), data, fast_train_config(epochs=1, batch_size=4))
+            assert len(_memfd_descriptors() - fds) <= 1
+        # a larger mapping replaced the smaller ones, which are unmapped
+        assert len(_training_mappings() - before) == 1
+        assert twocore._helper.alive
+    finally:
+        twocore._helper.stop()
+
+
+def test_a_stopped_helper_leaves_no_descriptor_mapping_or_process(monkeypatch):
+    data = _uneven_data()
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(twocore, "_helper", None)  # this test's own helper
+    # the helper other tests share may hold a mapping of its own
+    before, fds = _training_mappings(), _memfd_descriptors()
+    train(_model(data), data, fast_train_config(epochs=1, batch_size=4))
+    helper = twocore._helper
+    assert _training_mappings() - before
+    helper.stop()
+    assert _memfd_descriptors() <= fds
+    assert _training_mappings() <= before
+    with pytest.raises(ChildProcessError):  # reaped: not left a zombie
+        os.waitpid(helper.pid, os.WNOHANG)
+
+
+def test_a_forked_child_that_trains_leaves_the_parents_runs_at_the_serial_bits(monkeypatch):
+    data = _uneven_data()
+    model = _model(data)
+    config = fast_train_config(epochs=2, batch_size=4)
+    use_cpus(monkeypatch, 1)
+    want, want_report = train(model, data, config)
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(twocore, "_helper", None)  # this test's own helper
+    train(model, data, config)  # the parent's helper and mapping now exist
+    other = parity_examples(8, 9, 14)
+    pid = os.fork()
+    if pid == 0:  # the child trains another model while the parent trains
+        code = 1
+        try:
+            for _ in range(3):
+                train(_model(other), other, config)
+            twocore._helper.stop()
+            code = 0
+        finally:
+            os._exit(code)
+    try:
+        during = train(model, data, config)
+    finally:
+        _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    after = train(model, data, config)
+    try:
+        for got, report in (during, after):
+            assert report == want_report
+            _assert_same_bits(got, want)
+        assert twocore._helper.alive and twocore._helper.owner == os.getpid()
+    finally:
+        twocore._helper.stop()
+
+
+def test_without_memfd_create_training_forks_and_maps_nothing(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a process was started or memory mapped")
+
+    data = _uneven_data()
+    model = _model(data)
+    config = fast_train_config(epochs=2, batch_size=3)
+    use_cpus(monkeypatch, 1)
+    want, want_report = train(model, data, config)
+    use_cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, "memfd_create")
+    monkeypatch.setattr(twocore, "_helper", None)
+    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(mmap, "mmap", refused)
+    got, report = train(model, data, config)
+    assert report == want_report
+    _assert_same_bits(got, want)
+    assert twocore._helper is None
+
+
+_ONE_CPU = """
+import os, sys
+import efpc
+from efpc.model import train
+from helpers import fast_train_config, parity_examples, small_model
+
+assert "mmap" not in sys.modules, "import efpc loaded mmap"
+os.sched_getaffinity = lambda pid: {0}
+data = parity_examples(8, 1)
+train(small_model(data), data, fast_train_config(epochs=1, batch_size=4))
+assert "mmap" not in sys.modules, "one-CPU training loaded mmap"
+with open("/proc/self/maps") as fh:
+    assert "memfd:" not in fh.read(), "one-CPU training mapped memory"
+"""
+
+
+def test_importing_efpc_loads_no_mmap_and_one_cpu_training_maps_nothing():
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(here.parent / "src"), str(here)))}
+    done = subprocess.run([sys.executable, "-c", _ONE_CPU], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
