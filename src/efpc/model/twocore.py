@@ -18,19 +18,18 @@ the helper calls ``network``'s own.
 
 One helper serves the process. It is forked on the first such call and is
 stopped when the process exits; it exits by itself when this process
-dies. Scoring sends it each model as raw tensor buffers, once per
-parameter table. Training shares memory with it instead: a
-``TrainingRun`` keeps the run's parameters in a mapping that both
-processes map, so the helper reads the parameters Adam updated in place,
-writes each example's gradient pieces into a reply area of the same
-mapping, and answers each batch with one short message. The process keeps
-one such mapping, replaced by a larger one only when a run needs more
-room; its descriptor goes to the helper once per mapping.
+dies. It shares one mapping with this process: the model it works with
+sits at the start, as one flat table, and it writes its replies into the
+area after it and answers each request with one short message. Scoring
+copies a model in only when the mapping does not hold it already; a
+``TrainingRun`` keeps the run's parameters there, so the helper reads the
+parameters Adam updated in place. The process keeps one mapping, replaced
+by a larger one only when a model and its reply need more room; its
+descriptor goes to the helper once per mapping.
 
-With one window or example, or fewer than two usable CPUs, nothing is
-forked; without ``os.memfd_create`` training stays serial. If the helper
-dies or fails, this process computes that share itself and stays serial
-from then on.
+With one window or example, fewer than two usable CPUs, or no
+``os.memfd_create``, nothing is forked. If the helper dies or fails, this
+process computes that share itself and stays serial from then on.
 """
 
 from __future__ import annotations
@@ -116,34 +115,23 @@ def _write_gradients(shared, run, examples, loss_variant: str) -> None:
 
 
 def _serve(conn, parent_end) -> None:
-    """The helper's loop. A ``("model", config, layout)`` message is
-    followed by one raw buffer per tensor and replaces the model that
-    ``("score", windows)`` messages are scored with; they are answered
-    with the windows' float64 probabilities as one raw buffer. A
-    ``("map", size)`` message is followed by the descriptor of the
-    training mapping, and a ``("run", config, dtype, shapes, reply_at)``
-    one places a run's parameters at its start; each ``("grads", examples,
-    loss_variant)`` is answered, once ``_write_gradients`` is done, with an
-    empty message. ``None`` or a closed pipe ends the loop. Any failure
-    ends it too: the parent then computes the share itself and meets the
-    same error there, if it is one."""
+    """The helper's loop. A ``("map", size)`` message is followed by the
+    descriptor of the shared mapping. A ``("model", config, dtype, shapes,
+    reply_at)`` one sets the model that later requests work with: the flat
+    table at the mapping's start, with replies at byte ``reply_at``. A
+    ``("score", windows)`` request gets the windows' float64
+    probabilities there, and a ``("grads", examples, loss_variant)`` one
+    what ``_write_gradients`` writes; each is answered with an empty
+    message once the reply is written. ``None`` or a closed pipe ends the
+    loop. Any failure ends it too: the parent then computes the share
+    itself and meets the same error there, if it is one."""
     parent_end.close()  # so the parent's exit closes the pipe and ends this loop
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
     gc.freeze()  # collections leave the pages shared with the parent alone
-    params = config = shared = run = None
+    shared = model = None
     try:
         while (msg := conn.recv()) is not None:
-            if msg[0] == "model":
-                _, config, layout = msg
-                params = ModelParams({
-                    name: np.frombuffer(conn.recv_bytes(), dtype).reshape(shape)
-                    for name, dtype, shape in layout
-                })
-            elif msg[0] == "score":
-                # the package's own ops: a tracer installed in the parent before
-                # the fork would only collect spans here that nobody reads
-                conn.send_bytes(_score(params, config, msg[1], network.encode, network.classify))
-            elif msg[0] == "map":
+            if msg[0] == "map":
                 import mmap
 
                 fd = reduction.recv_handle(conn)
@@ -151,13 +139,20 @@ def _serve(conn, parent_end) -> None:
                     shared = mmap.mmap(fd, msg[1])
                 finally:
                     os.close(fd)
-            elif msg[0] == "run":
-                _, run_config, dtype, shapes, reply_at = msg
+            elif msg[0] == "model":
+                _, config, dtype, shapes, reply_at = msg
                 size = sum(math.prod(shape) for shape in shapes.values())
                 tensors = FlatTable(np.frombuffer(shared, dtype, size), shapes)
-                run = (ModelParams(tensors), run_config, reply_at)
+                model = (ModelParams(tensors), config, reply_at)
+            elif msg[0] == "score":
+                params, config, reply_at = model
+                # the package's own ops: a tracer installed in the parent before
+                # the fork would only collect spans here that nobody reads
+                probs = _score(params, config, msg[1], network.encode, network.classify)
+                np.frombuffer(shared, np.float64, probs.size, reply_at)[...] = probs
+                conn.send_bytes(b"")
             else:
-                _write_gradients(shared, run, *msg[1:])
+                _write_gradients(shared, model, *msg[1:])
                 conn.send_bytes(b"")
     except Exception:
         return
@@ -182,11 +177,13 @@ class _Helper:
             finally:
                 os._exit(0)  # no exit handlers: they are the parent's
         child_end.close()
-        # a weak reference to the params the helper scores with and their
-        # config: the helper's copy must not keep the caller's tables alive
+        # a weak reference to the params scoring copied into the mapping, and
+        # their config: None once anything else may have been written there
         self.shipped: tuple[weakref.ref, object] | None = None
-        # the training mapping this process shares with the helper
+        # the mapping this process shares with the helper, and where in it
+        # the helper writes its replies
         self.shared = None
+        self.reply_at = 0
         self.alive = True
         atexit.register(self.stop)
 
@@ -199,66 +196,72 @@ class _Helper:
             self.stop()
             return False
 
-    def submit(self, params: ModelParams, config, request: tuple) -> bool:
-        """Send the model unless the helper scores with it already, then the
-        request; False if the helper is gone."""
-        try:
-            if (self.shipped is None or self.shipped[0]() is not params
-                    or self.shipped[1] != config):
-                tensors = params.tensors
-                layout = [(name, t.dtype.str, t.shape) for name, t in tensors.items()]
-                self.conn.send(("model", config, layout))
-                for t in tensors.values():
-                    self.conn.send_bytes(np.ascontiguousarray(t))
-                self.shipped = (weakref.ref(params), config)
-        except OSError:
-            self.stop()
-            return False
-        return self.send(request)
+    def load(self, shapes: dict[str, tuple[int, ...]], dtype, config,
+             reply_bytes: int) -> FlatTable | None:
+        """A table of the given shapes at the start of the mapping, which
+        the helper now takes as its model, with ``reply_bytes`` free from
+        ``reply_at`` on. The mapping is made, or replaced by one of twice
+        the size or more with its descriptor sent, when it is too small.
+        None, with the helper stopped, if that failed."""
+        dtype = np.dtype(dtype)
+        size = sum(math.prod(shape) for shape in shapes.values())
+        reply_at = -(-size * dtype.itemsize // 64) * 64
+        self.shipped = None  # the caller writes the table over what was there
+        if self.shared is None or len(self.shared) < reply_at + reply_bytes:
+            import mmap  # here, so that importing efpc does not load it
 
-    def mapping(self, nbytes: int):
-        """The mapping this process shares with the helper, of at least
-        ``nbytes``: made, or replaced by one of twice the size or more, with
-        its descriptor sent, when it is too small. None, with the helper
-        stopped, if that failed."""
-        if self.shared is not None and len(self.shared) >= nbytes:
-            return self.shared
-        import mmap  # here, so that importing efpc does not load it
-
-        size = max(nbytes, 2 * len(self.shared)) if self.shared is not None else nbytes
-        try:
-            fd = os.memfd_create("efpc-train", os.MFD_CLOEXEC)
+            nbytes = reply_at + reply_bytes
+            if self.shared is not None:
+                nbytes = max(nbytes, 2 * len(self.shared))
             try:
-                os.ftruncate(fd, size)  # untouched pages take no memory
-                shared = mmap.mmap(fd, size)
-                self.conn.send(("map", size))
-                reduction.send_handle(self.conn, fd, self.pid)
-            finally:
-                os.close(fd)
-        except OSError:
-            self.stop()
+                fd = os.memfd_create("efpc-train", os.MFD_CLOEXEC)
+                try:
+                    os.ftruncate(fd, nbytes)  # untouched pages take no memory
+                    shared = mmap.mmap(fd, nbytes)
+                    self.conn.send(("map", nbytes))
+                    reduction.send_handle(self.conn, fd, self.pid)
+                finally:
+                    os.close(fd)
+            except OSError:
+                self.stop()
+                return None
+            self.shared = shared
+        if not self.send(("model", config, dtype.str, shapes, reply_at)):
             return None
-        self.shared = shared
-        return shared
+        self.reply_at = reply_at
+        return FlatTable(np.frombuffer(self.shared, dtype, size), shapes)
 
-    def _read(self, read):
-        """``read()``, or None, with the helper stopped, if it failed."""
-        if not self.alive:
-            return None
+    def ship(self, params: ModelParams, config, reply_bytes: int) -> bool:
+        """Make ``params`` the helper's model, with ``reply_bytes`` free for
+        its reply, copying the tensors into the mapping unless they are
+        there already. False if the helper is gone, or if the tensors mix
+        dtypes and so make no one flat table."""
+        tensors = params.tensors
+        if (self.shipped is not None and self.shipped[0]() is params
+                and self.shipped[1] == config
+                and len(self.shared) >= self.reply_at + reply_bytes):
+            return True
+        dtype = next(iter(tensors.values())).dtype
+        if any(t.dtype != dtype for t in tensors.values()):
+            return False
+        table = self.load({k: t.shape for k, t in tensors.items()}, dtype, config, reply_bytes)
+        if table is None:
+            return False
+        for name, t in table.items():
+            t[...] = tensors[name]
+        self.shipped = (weakref.ref(params), config)
+        return True
+
+    def done(self) -> bool:
+        """Wait for the answer to the last request: True once its reply is
+        in the mapping, False, with the helper stopped, if the helper
+        failed."""
         try:
-            return read()
+            self.conn.recv_bytes()
+            return True
         except (EOFError, OSError):
             self.stop()
-            return None
-
-    def collect(self, n: int) -> np.ndarray | None:
-        """The n probabilities of the submitted windows, or None if the
-        helper failed."""
-        buf = self._read(self.conn.recv_bytes)
-        if buf is None or len(buf) != 8 * n:
-            self.stop()
-            return None
-        return np.frombuffer(buf, np.float64)
+            return False
 
     def stop(self) -> None:
         """Ask the helper to exit and reap it, killing it after 1 s; the
@@ -291,10 +294,13 @@ _helper_lock = threading.Lock()
 
 def _usable_helper() -> _Helper | None:
     """This process's helper, forked on first use; None with fewer than two
-    usable CPUs or once the helper has failed. Call with _helper_lock held."""
+    usable CPUs, without ``os.memfd_create``, or once the helper has
+    failed. Call with _helper_lock held."""
     global _helper
-    # sched_getaffinity is Linux-only; without it everything stays on one core
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+    # sched_getaffinity and memfd_create are Linux-only; without them
+    # everything stays on one core
+    if (not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+            or not hasattr(os, "memfd_create")):
         return None
     if _helper is None or _helper.owner != os.getpid():
         if _helper is not None:
@@ -326,18 +332,19 @@ def score_windows(params: ModelParams, config, windows: list[Window], encode,
         if helper is None:
             return _score(params, config, windows, encode, classify)
         cut = _halfway([len(ids) for ids, _ in windows])
-        sent = helper.submit(params, config, ("score", windows[cut:]))
+        n = sum(len(ids) - b for ids, b in windows[cut:])
+        sent = helper.ship(params, config, 8 * n) and helper.send(("score", windows[cut:]))
         try:
             first = _score(params, config, windows[:cut], encode, classify)
         finally:
             # read the reply even if this share raised, so none is left queued
-            n = sum(len(ids) - b for ids, b in windows[cut:])
-            second = helper.collect(n) if sent else None
+            done = sent and helper.done()
+        if done:
+            return np.concatenate([first, np.frombuffer(helper.shared, np.float64, n,
+                                                        helper.reply_at)])
     finally:
         _helper_lock.release()
-    if second is None:
-        second = _score(params, config, windows[cut:], encode, classify)
-    return np.concatenate([first, second])
+    return np.concatenate([first, _score(params, config, windows[cut:], encode, classify)])
 
 
 class TrainingRun:
@@ -363,24 +370,20 @@ class TrainingRun:
         self.round = 2 * max(1, _REPLY_BYTES // per_example)
         # the most windows the helper takes in one round, each of the longest
         share = min(self.round, batch_size) - 1
-        if share > 0 and hasattr(os, "memfd_create") and _helper_lock.acquire(blocking=False):
-            self._take_helper(shapes, share * _slot_bytes(longest, self.grads))
+        if share > 0 and _helper_lock.acquire(blocking=False):
+            self._take_helper(shapes, dtype, share * _slot_bytes(longest, self.grads))
         if self.helper is None:
-            flat = np.empty(size, dtype)
-        else:
-            flat = np.frombuffer(self.shared, dtype, size)
-        self.params = ModelParams(FlatTable(flat, shapes))
+            self.params = ModelParams(FlatTable(np.empty(size, dtype), shapes))
 
-    def _take_helper(self, shapes, reply_bytes: int) -> None:
+    def _take_helper(self, shapes, dtype, reply_bytes: int) -> None:
         """Hold the helper and the mapping for this run, or release the lock."""
         helper = _usable_helper()
-        self.reply_at = -(-self.grads.flat.nbytes // 64) * 64
-        shared = helper.mapping(self.reply_at + reply_bytes) if helper is not None else None
-        if shared is not None and helper.send(("run", self.config, self.grads.flat.dtype.str,
-                                                shapes, self.reply_at)):
-            self.helper, self.shared = helper, shared
-        else:
+        table = helper.load(shapes, dtype, self.config, reply_bytes) if helper else None
+        if table is None:
             _helper_lock.release()
+            return
+        self.helper, self.shared, self.reply_at = helper, helper.shared, helper.reply_at
+        self.params = ModelParams(table)
 
     def __enter__(self) -> TrainingRun:
         return self
@@ -418,13 +421,13 @@ class TrainingRun:
                 continue
             try:
                 out += serial(examples[:cut])
-                done = helper._read(helper.conn.recv_bytes)
+                done = helper.done()
             except BaseException:
                 # a reply left unread would be taken for the next batch's:
                 # the helper is not used again
                 helper.stop()
                 raise
-            out += serial(examples[cut:]) if done is None else self._add_reply(examples[cut:])
+            out += self._add_reply(examples[cut:]) if done else serial(examples[cut:])
         return out
 
     def _add_reply(self, examples) -> list[tuple[float, np.ndarray]]:
