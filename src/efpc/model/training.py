@@ -1,19 +1,19 @@
 """Mini-batch training loop over labeled word examples.
 
 Deterministic by construction: example order is shuffled by a seeded RNG,
-gradients are summed into one table per batch in index order and then
-averaged, and all arithmetic but the float64 head (``network.classify``)
-stays in the parameter dtype. A run keeps its parameters, its gradient
-table and Adam's moments as flat tables of one layout (``FlatTable``), so
-the per-batch checks, the averaging, the Adam step and the zeroing run
-once over all the tensors; each element goes through the same operations
-as it would tensor by tensor. With two usable CPUs, a helper process
-computes the gradient pieces of the second share of each batch of two or
-more windows (see ``twocore``); this process still adds them into the
-table one example at a time, in index order, after its own share, so
-every float add happens in the same order. Two runs with the same model,
-data, and config produce identical parameters and reports, on one core
-or on two.
+each batch's gradient is summed by one fixed rule and then averaged, and
+all arithmetic but the float64 head (``network.classify``) stays in the
+parameter dtype. A batch of two or more windows is split into two shares
+of about equal token counts; each share's gradients are summed in index
+order into a table of their own, and the second table is added into the
+first (see ``twocore``). With two usable CPUs a helper process sums the
+second share; without, this process does. A run keeps its parameters,
+its gradient table and Adam's moments as flat tables of one layout
+(``FlatTable``), so the per-batch checks, the averaging, the Adam step
+and the zeroing run once over all the tensors; each element goes through
+the same operations as it would tensor by tensor. Two runs with the same
+model, data, and config produce identical parameters and reports, on one
+core or on two.
 
 A run trains only the ``token_emb`` rows its examples use, renumbered
 in id order. Adam leaves a row with zero gradient and zero moments exactly

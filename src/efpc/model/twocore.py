@@ -9,12 +9,13 @@ results are joined in order:
 
 - scoring joins the probabilities in window order, the same bits the
   serial loop gives;
-- training adds the helper's gradient pieces into the batch table one
-  example at a time, after this process's own share, so every float add
-  happens in the order of the serial loop.
+- training sums each share's gradients into a table of its own, in
+  example order, and adds the second table into the first once.
 
-This process's share goes through the functions the caller passes in;
-the helper calls ``network``'s own.
+Training splits a batch this way on one core too, with this process
+summing both shares, so one core and two give the same bits. This
+process's share goes through the functions the caller passes in; the
+helper calls ``network``'s own.
 
 One helper serves the process. It is forked on the first such call and is
 stopped when the process exits; it exits by itself when this process
@@ -50,14 +51,10 @@ import numpy as np
 
 from . import network
 from .losses import PRESERVE_COL
-from .params import FlatTable, ModelParams
+from .params import FlatTable, ModelParams, zeros_like
 
 # a window as scored: its token ids and the position of its first original word
 Window = tuple[tuple[int, ...], int]
-
-# about the most bytes of gradient pieces the helper holds for one reply;
-# a batch whose second half would need more is worked on in rounds
-_REPLY_BYTES = 16 << 20
 
 
 def _score(params: ModelParams, config, windows: list[Window], encode, classify) -> np.ndarray:
@@ -69,49 +66,36 @@ def _score(params: ModelParams, config, windows: list[Window], encode, classify)
     )
 
 
-def _pieces(table: FlatTable) -> np.ndarray:
-    """The flat table after its two embeddings: what an example's gradient
-    pieces cover, one after another in table order."""
-    return table.flat[table["token_emb"].size + table["pos_emb"].size :]
-
-
-def _slot_bytes(length: int, table: FlatTable) -> int:
-    """The bytes of the reply slot of a window of ``length`` tokens, for
-    tensors laid out as ``table``, rounded up to 64."""
-    width = table["pos_emb"].shape[1]
-    nbytes = 8 * (1 + 2 * length) + table.flat.itemsize * (length * width + _pieces(table).size)
+def _padded(nbytes: int) -> int:
+    """``nbytes`` rounded up to a multiple of 64."""
     return -(-nbytes // 64) * 64
 
 
-def _slots(shared, at: int, lengths: list[int], table: FlatTable) -> list:
-    """``(loss, probs, dx, pieces)`` views of the reply slots of windows of
-    the given lengths, packed one after another from byte ``at`` of
-    ``shared``: the loss and the probabilities in float64, the embedding
-    gradient ``dx`` and the pieces in the dtype of ``table``, which gives
-    the layout."""
-    width, n_pieces = table["pos_emb"].shape[1], _pieces(table).size
-    slots = []
-    for n in lengths:
-        head = np.frombuffer(shared, np.float64, 1 + 2 * n, at)
-        body = np.frombuffer(shared, table.flat.dtype, n * width + n_pieces, at + head.nbytes)
-        slots.append((head[:1], head[1:].reshape(n, 2), body[: n * width].reshape(n, width),
-                      body[n * width :]))
-        at += _slot_bytes(n, table)
-    return slots
+def _gradient_reply(shared, at: int, table: FlatTable, examples) -> tuple:
+    """``(grads, losses, probs)``: views of the reply to a ``"grads"``
+    request from byte ``at`` of ``shared``. A gradient table of the layout
+    of ``table`` comes first, then each example's loss, then each one's
+    probabilities, in float64."""
+    grads = FlatTable(np.frombuffer(shared, table.flat.dtype, table.flat.size, at),
+                      {name: t.shape for name, t in table.items()})
+    lengths = [len(ex.token_ids) for ex in examples]
+    values = np.frombuffer(shared, np.float64, len(examples) + 2 * sum(lengths),
+                           at + _padded(grads.flat.nbytes))
+    probs = np.split(values[len(examples) :], 2 * np.cumsum(lengths)[:-1])
+    return grads, values[: len(examples)], [p.reshape(-1, 2) for p in probs]
 
 
-def _write_gradients(shared, run, examples, loss_variant: str) -> None:
-    """Write every example's loss, probabilities and gradient pieces into
-    its reply slot of ``shared``."""
-    params, config, reply_at = run
-    names = list(params.tensors)[2:]  # every tensor after the two embeddings
-    slots = _slots(shared, reply_at, [len(ex.token_ids) for ex in examples], params.tensors)
+def _write_gradients(shared, model, examples, loss_variant: str) -> None:
+    """Sum the examples' gradients, in order, into the zeroed table of the
+    reply, and write each one's loss and probabilities after it."""
+    params, config, reply_at = model
+    grads, losses, probs = _gradient_reply(shared, reply_at, params.tensors, examples)
+    grads.flat.fill(0)
     # as in training: a non-finite loss is the caller's to report
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for ex, (loss, probs, dx, flat) in zip(examples, slots):
-            value, p, _, d, pieces = network.gradient_pieces(params, config, ex, loss_variant)
-            loss[0], probs[...], dx[...] = value, p, d
-            np.concatenate([pieces[k].reshape(-1) for k in names], out=flat)
+        for i, ex in enumerate(examples):
+            loss, _, p = network.backward_detailed(params, config, ex, loss_variant, grads)
+            losses[i], probs[i][...] = loss, p
 
 
 def _serve(conn, parent_end) -> None:
@@ -205,7 +189,7 @@ class _Helper:
         None, with the helper stopped, if that failed."""
         dtype = np.dtype(dtype)
         size = sum(math.prod(shape) for shape in shapes.values())
-        reply_at = -(-size * dtype.itemsize // 64) * 64
+        reply_at = _padded(size * dtype.itemsize)
         self.shipped = None  # the caller writes the table over what was there
         if self.shared is None or len(self.shared) < reply_at + reply_bytes:
             import mmap  # here, so that importing efpc does not load it
@@ -355,35 +339,28 @@ class TrainingRun:
     first; ``grads`` is a zero FlatTable of the same layout. With a usable
     helper, the parameters sit at the start of the shared mapping, and the
     run holds the helper from ``__enter__`` to ``__exit__``; otherwise
-    they are private and every batch runs serially. The caller fills the
-    parameters in before the first batch.
+    they are private and this process computes both shares of every
+    batch. The caller fills the parameters in before the first batch.
     """
 
     def __init__(self, shapes: dict[str, tuple[int, ...]], dtype, config, longest: int,
                  batch_size: int):
         self.config = config
-        self.helper = self.shared = None
+        self.helper = self.spare = None
         size = sum(math.prod(shape) for shape in shapes.values())
         self.grads = FlatTable(np.zeros(size, dtype), shapes)
-        # an example's pieces take about the bytes of every tensor but token_emb
-        per_example = (size - self.grads["token_emb"].size) * self.grads.flat.itemsize
-        self.round = 2 * max(1, _REPLY_BYTES // per_example)
-        # the most windows the helper takes in one round, each of the longest
-        share = min(self.round, batch_size) - 1
-        if share > 0 and _helper_lock.acquire(blocking=False):
-            self._take_helper(shapes, dtype, share * _slot_bytes(longest, self.grads))
+        if batch_size > 1 and _helper_lock.acquire(blocking=False):
+            # a batch's reply: its second share's table, then the losses and
+            # probabilities of at most batch_size - 1 windows of the longest
+            reply = _padded(self.grads.flat.nbytes) + 8 * (batch_size - 1) * (1 + 2 * longest)
+            helper = _usable_helper()
+            table = helper.load(shapes, dtype, config, reply) if helper else None
+            if table is None:
+                _helper_lock.release()
+            else:
+                self.helper, self.params = helper, ModelParams(table)
         if self.helper is None:
             self.params = ModelParams(FlatTable(np.empty(size, dtype), shapes))
-
-    def _take_helper(self, shapes, dtype, reply_bytes: int) -> None:
-        """Hold the helper and the mapping for this run, or release the lock."""
-        helper = _usable_helper()
-        table = helper.load(shapes, dtype, self.config, reply_bytes) if helper else None
-        if table is None:
-            _helper_lock.release()
-            return
-        self.helper, self.shared, self.reply_at = helper, helper.shared, helper.reply_at
-        self.params = ModelParams(table)
 
     def __enter__(self) -> TrainingRun:
         return self
@@ -394,51 +371,46 @@ class TrainingRun:
             _helper_lock.release()
 
     def gradients(self, batch, loss_variant: str, backward) -> list[tuple[float, np.ndarray]]:
-        """Each example's loss and probabilities, in batch order, with its
-        gradient added into ``grads`` in that order: the bits of calling
-        ``backward(params, config, example, loss_variant, grads)`` on each
-        example in turn, which is what this process does for its share."""
+        """Each example's loss and probabilities, in batch order, with the
+        batch's gradient added into ``grads``. A batch of two or more
+        windows is split at ``_halfway``: the first share's gradients are
+        summed into ``grads`` in order, the second's into a zero table of
+        the same layout, and that table is then added into ``grads``. The
+        helper sums the second share where there is one; this process sums
+        the rest through ``backward(params, config, example, loss_variant,
+        table)``."""
 
-        def serial(examples):
+        def serial(examples, table):
             out = []
             for ex in examples:
-                loss, _, probs = backward(self.params, self.config, ex, loss_variant, self.grads)
+                loss, _, probs = backward(self.params, self.config, ex, loss_variant, table)
                 out.append((loss, probs))
             return out
 
-        helper = self.helper
-        if len(batch) < 2 or helper is None or not helper.alive:
-            return serial(batch)
-        out = []
-        for lo in range(0, len(batch), self.round):
-            examples = batch[lo : lo + self.round]
-            if len(examples) < 2:
-                out += serial(examples)
-                continue
-            cut = _halfway([len(ex.token_ids) for ex in examples])
-            if not helper.send(("grads", examples[cut:], loss_variant)):
-                out += serial(examples)
-                continue
-            try:
-                out += serial(examples[:cut])
-                done = helper.done()
-            except BaseException:
+        if len(batch) < 2:
+            return serial(batch, self.grads)
+        cut = _halfway([len(ex.token_ids) for ex in batch])
+        helper, second = self.helper, batch[cut:]
+        sent = helper is not None and helper.send(("grads", second, loss_variant))
+        try:
+            out = serial(batch[:cut], self.grads)
+            done = sent and helper.done()
+        except BaseException:
+            if sent:
                 # a reply left unread would be taken for the next batch's:
                 # the helper is not used again
                 helper.stop()
-                raise
-            out += self._add_reply(examples[cut:]) if done else serial(examples[cut:])
-        return out
-
-    def _add_reply(self, examples) -> list[tuple[float, np.ndarray]]:
-        """Add the helper's pieces of each example into ``grads`` in turn."""
-        tail = _pieces(self.grads)
-        lengths = [len(ex.token_ids) for ex in examples]
-        out = []
-        for ex, (loss, probs, dx, pieces) in zip(
-            examples, _slots(self.shared, self.reply_at, lengths, self.grads)
-        ):
-            tail += pieces
-            network.add_embedding_gradient(self.grads, np.asarray(ex.token_ids, np.int64), dx)
-            out.append((float(loss[0]), probs.copy()))  # the slots are written again
+            raise
+        if done:
+            table, losses, probs = _gradient_reply(helper.shared, helper.reply_at, self.grads,
+                                                   second)
+            # copied: the next batch's reply is written over them
+            out += [(float(loss), p.copy()) for loss, p in zip(losses, probs)]
+        else:
+            if self.spare is None:
+                self.spare = zeros_like(self.grads)
+            table = self.spare
+            table.flat.fill(0)
+            out += serial(second, table)
+        self.grads.flat += table.flat
         return out

@@ -317,45 +317,6 @@ def test_float32_model_matches_float64(case):
         assert np.abs(got - want).max() <= 1e-3 * size, name
 
 
-@st.composite
-def _example_sequences(draw):
-    """A dtype, a loss variant and 1-4 examples of at least four tokens
-    drawn from three ids, so every example repeats an id."""
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
-    variant = draw(st.sampled_from(LOSS_VARIANTS))
-    examples = []
-    for _ in range(draw(st.integers(1, 4))):
-        boundary = 0 if variant == "agnostic" else draw(st.integers(0, 3))
-        n = draw(st.integers(max(1, 4 - boundary), CFG.max_seq_len - boundary))
-        ids = draw(st.lists(st.integers(3, 5), min_size=boundary + n, max_size=boundary + n))
-        labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-        examples.append(TokenizedExample(tuple(ids), tuple(labels), boundary))
-    return dtype, variant, examples
-
-
-@settings(max_examples=60, deadline=None)
-@given(_example_sequences())
-def test_pieces_added_in_order_give_the_bytes_of_backward_detailed(case):
-    dtype, variant, examples = case
-    # weights large enough that the examples' gradients differ in every tensor
-    p = ModelParams({name: t if "_gamma" in name else t * dtype(20)
-                     for name, t in init_params(CFG, dtype).tensors.items()})
-    want = None
-    results = []
-    for ex in examples:
-        loss, want, probs = backward_detailed(p, CFG, ex, variant, want)
-        results.append((loss, probs))
-    got = {name: np.zeros_like(t) for name, t in p.tensors.items()}
-    for ex, (loss, probs) in zip(examples, results, strict=True):
-        piece_loss, piece_probs, ids, dx, pieces = network.gradient_pieces(p, CFG, ex, variant)
-        assert piece_loss == loss and piece_probs.tobytes() == probs.tobytes()
-        assert set(pieces) == set(p.tensors) - {"token_emb", "pos_emb"}
-        network.add_pieces(got, ids, dx, pieces)
-    for name, table in want.items():
-        assert got[name].dtype == table.dtype == dtype, name
-        assert got[name].tobytes() == table.tobytes(), name
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([np.float32, np.float64]), st.booleans(), st.data())
 def test_the_embedding_scatter_gives_the_bytes_of_a_row_scatter(dtype, c_order, data):

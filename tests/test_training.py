@@ -21,6 +21,7 @@ from efpc.model import (
     token_accuracy,
     train,
     training,
+    twocore,
     vocab_from_words,
 )
 
@@ -196,7 +197,9 @@ def _counting(fn, calls):
 
 def _dense_train(model, dataset, config):
     """The training loop before the row rule: a fresh dense gradient table
-    per batch, checked and averaged whole, and Adam over every row."""
+    per batch, checked and averaged whole, and Adam over every row. Each
+    batch's gradient is summed by ``train()``'s rule, one share and then the
+    other."""
     examples = prepare_examples(model, dataset, config.loss_variant)
     rng = random.Random(config.seed)
     # a copy: each step overwrites the tensors in place
@@ -210,10 +213,19 @@ def _dense_train(model, dataset, config):
         for lo in range(0, len(order), config.batch_size):
             batch = [examples[i] for i in order[lo : lo + config.batch_size]]
             grads = {k: np.zeros_like(t) for k, t in params.tensors.items()}
-            for ex in batch:
-                loss, grads, _ = backward_detailed(params, model.config, ex,
-                                                   config.loss_variant, grads)
-                loss_sum += loss
+            # a batch of two or more windows sums as two shares, the second in
+            # a table of its own that is added in once
+            second = {k: np.zeros_like(t) for k, t in params.tensors.items()}
+            cut = twocore._halfway([len(ex.token_ids) for ex in batch]) if len(batch) > 1 else 1
+            for ex in batch[:cut]:
+                loss_sum += backward_detailed(params, model.config, ex, config.loss_variant,
+                                              grads)[0]
+            for ex in batch[cut:]:
+                loss_sum += backward_detailed(params, model.config, ex, config.loss_variant,
+                                              second)[0]
+            if len(batch) > 1:
+                for k, g in grads.items():
+                    g += second[k]
             for g in grads.values():
                 assert np.isfinite(g).all()
                 g /= len(batch)

@@ -90,24 +90,6 @@ def test_training_with_the_helper_keeps_the_serial_bits(monkeypatch, batch_size,
     assert len(calls) == sum(map(_own_share, _batches(model, data, config)))
 
 
-def test_batches_worked_on_in_rounds_keep_the_serial_bits(monkeypatch):
-    data = _uneven_data()
-    model = _model(data)
-    config = fast_train_config(epochs=2, batch_size=7)
-    use_cpus(monkeypatch, 1)
-    want, want_report = train(model, data, config)
-    use_cpus(monkeypatch, 2)
-    # rounds of two examples: batches of 7 split 2 + 2 + 2 + 1
-    monkeypatch.setattr(twocore, "_REPLY_BYTES", 1)
-    calls = _counted(monkeypatch, "backward_detailed")
-    got, report = train(model, data, config)
-    assert report == want_report
-    _assert_same_bits(got, want)
-    assert len(calls) == sum(_own_share(batch[lo : lo + 2])
-                             for batch in _batches(model, data, config)
-                             for lo in range(0, len(batch), 2))
-
-
 def test_token_accuracy_on_two_cores_gives_the_serial_figures(monkeypatch):
     # the last example is all instruction: it has no window and scores 0.0
     data = _uneven_data() + [LabeledExample(words=("alpha",), labels=(0,), boundary_m=1)]
