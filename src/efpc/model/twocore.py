@@ -29,8 +29,9 @@ by a larger one only when a model and its reply need more room; its
 descriptor goes to the helper once per mapping.
 
 With one window or example, fewer than two usable CPUs, or no
-``os.memfd_create``, nothing is forked. If the helper dies or fails, this
-process computes that share itself and stays serial from then on.
+``os.memfd_create``, nothing is forked. If the helper cannot be forked,
+dies or fails, this process does that share itself and stays serial from
+then on.
 """
 
 from __future__ import annotations
@@ -85,34 +86,22 @@ def _gradient_reply(shared, at: int, table: FlatTable, examples) -> tuple:
     return grads, values[: len(examples)], [p.reshape(-1, 2) for p in probs]
 
 
-def _write_gradients(shared, model, examples, loss_variant: str) -> None:
-    """Sum the examples' gradients, in order, into the zeroed table of the
-    reply, and write each one's loss and probabilities after it."""
-    params, config, reply_at = model
-    grads, losses, probs = _gradient_reply(shared, reply_at, params.tensors, examples)
-    grads.flat.fill(0)
-    # as in training: a non-finite loss is the caller's to report
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i, ex in enumerate(examples):
-            loss, _, p = network.backward_detailed(params, config, ex, loss_variant, grads)
-            losses[i], probs[i][...] = loss, p
-
-
 def _serve(conn, parent_end) -> None:
     """The helper's loop. A ``("map", size)`` message is followed by the
     descriptor of the shared mapping. A ``("model", config, dtype, shapes,
     reply_at)`` one sets the model that later requests work with: the flat
     table at the mapping's start, with replies at byte ``reply_at``. A
     ``("score", windows)`` request gets the windows' float64
-    probabilities there, and a ``("grads", examples, loss_variant)`` one
-    what ``_write_gradients`` writes; each is answered with an empty
-    message once the reply is written. ``None`` or a closed pipe ends the
+    probabilities there. A ``("grads", examples, loss_variant)`` one gets
+    the sum of the examples' gradients, in order, and each one's loss and
+    probabilities (see ``_gradient_reply``). Each request is answered with
+    an empty message once its reply is written. ``None`` or a closed pipe ends the
     loop. Any failure ends it too: the parent then computes the share
     itself and meets the same error there, if it is one."""
     parent_end.close()  # so the parent's exit closes the pipe and ends this loop
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
     gc.freeze()  # collections leave the pages shared with the parent alone
-    shared = model = None
+    shared = params = config = reply_at = None
     try:
         while (msg := conn.recv()) is not None:
             if msg[0] == "map":
@@ -126,17 +115,23 @@ def _serve(conn, parent_end) -> None:
             elif msg[0] == "model":
                 _, config, dtype, shapes, reply_at = msg
                 size = sum(math.prod(shape) for shape in shapes.values())
-                tensors = FlatTable(np.frombuffer(shared, dtype, size), shapes)
-                model = (ModelParams(tensors), config, reply_at)
+                params = ModelParams(FlatTable(np.frombuffer(shared, dtype, size), shapes))
             elif msg[0] == "score":
-                params, config, reply_at = model
                 # the package's own ops: a tracer installed in the parent before
                 # the fork would only collect spans here that nobody reads
                 probs = _score(params, config, msg[1], network.encode, network.classify)
                 np.frombuffer(shared, np.float64, probs.size, reply_at)[...] = probs
                 conn.send_bytes(b"")
             else:
-                _write_gradients(shared, model, *msg[1:])
+                _, examples, loss_variant = msg
+                grads, losses, probs = _gradient_reply(shared, reply_at, params.tensors, examples)
+                grads.flat.fill(0)
+                # as in training: a non-finite loss is the caller's to report
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    for i, ex in enumerate(examples):
+                        loss, _, p = network.backward_detailed(params, config, ex, loss_variant,
+                                                               grads)
+                        losses[i], probs[i][...] = loss, p
                 conn.send_bytes(b"")
     except Exception:
         return
@@ -152,15 +147,7 @@ class _Helper:
     """
 
     def __init__(self):
-        self.conn, child_end = multiprocessing.Pipe()
         self.owner = os.getpid()
-        self.pid = os.fork()
-        if self.pid == 0:
-            try:
-                _serve(child_end, self.conn)
-            finally:
-                os._exit(0)  # no exit handlers: they are the parent's
-        child_end.close()
         # a weak reference to the params scoring copied into the mapping, and
         # their config: None once anything else may have been written there
         self.shipped: tuple[weakref.ref, object] | None = None
@@ -168,6 +155,24 @@ class _Helper:
         # the helper writes its replies
         self.shared = None
         self.reply_at = 0
+        self.alive = False
+        ends = ()
+        try:
+            ends = multiprocessing.Pipe()
+            self.pid = os.fork()
+        except OSError:
+            # no pipe or process to be had: the helper starts stopped, and the
+            # process stays on one core as after a helper failure
+            for end in ends:
+                end.close()
+            return
+        self.conn, child_end = ends
+        if self.pid == 0:
+            try:
+                _serve(child_end, self.conn)
+            finally:
+                os._exit(0)  # no exit handlers: they are the parent's
+        child_end.close()
         self.alive = True
         atexit.register(self.stop)
 
@@ -180,14 +185,13 @@ class _Helper:
             self.stop()
             return False
 
-    def load(self, shapes: dict[str, tuple[int, ...]], dtype, config,
+    def load(self, shapes: dict[str, tuple[int, ...]], dtype: np.dtype, config,
              reply_bytes: int) -> FlatTable | None:
         """A table of the given shapes at the start of the mapping, which
         the helper now takes as its model, with ``reply_bytes`` free from
         ``reply_at`` on. The mapping is made, or replaced by one of twice
         the size or more with its descriptor sent, when it is too small.
         None, with the helper stopped, if that failed."""
-        dtype = np.dtype(dtype)
         size = sum(math.prod(shape) for shape in shapes.values())
         reply_at = _padded(size * dtype.itemsize)
         self.shipped = None  # the caller writes the table over what was there
@@ -287,7 +291,7 @@ def _usable_helper() -> _Helper | None:
             or not hasattr(os, "memfd_create")):
         return None
     if _helper is None or _helper.owner != os.getpid():
-        if _helper is not None:
+        if _helper is not None and _helper.alive:
             # a forked copy of another process's helper: its pipe end is
             # closed and its mapping left, so this process never writes into it
             _helper.conn.close()
@@ -346,7 +350,7 @@ class TrainingRun:
     def __init__(self, shapes: dict[str, tuple[int, ...]], dtype, config, longest: int,
                  batch_size: int):
         self.config = config
-        self.helper = self.spare = None
+        self.helper = None
         size = sum(math.prod(shape) for shape in shapes.values())
         self.grads = FlatTable(np.zeros(size, dtype), shapes)
         if batch_size > 1 and _helper_lock.acquire(blocking=False):
@@ -359,8 +363,12 @@ class TrainingRun:
                 _helper_lock.release()
             else:
                 self.helper, self.params = helper, ModelParams(table)
+                # where the second share's gradients are summed: the reply's table
+                self.spare = FlatTable(np.frombuffer(helper.shared, dtype, size, helper.reply_at),
+                                       shapes)
         if self.helper is None:
             self.params = ModelParams(FlatTable(np.empty(size, dtype), shapes))
+            self.spare = zeros_like(self.grads)
 
     def __enter__(self) -> TrainingRun:
         return self
@@ -372,13 +380,10 @@ class TrainingRun:
 
     def gradients(self, batch, loss_variant: str, backward) -> list[tuple[float, np.ndarray]]:
         """Each example's loss and probabilities, in batch order, with the
-        batch's gradient added into ``grads``. A batch of two or more
-        windows is split at ``_halfway``: the first share's gradients are
-        summed into ``grads`` in order, the second's into a zero table of
-        the same layout, and that table is then added into ``grads``. The
-        helper sums the second share where there is one; this process sums
-        the rest through ``backward(params, config, example, loss_variant,
-        table)``."""
+        batch's gradient added into ``grads`` share by share, as the module
+        says. The helper sums the second share where there is one; this
+        process sums the rest through ``backward(params, config, example,
+        loss_variant, table)``."""
 
         def serial(examples, table):
             out = []
@@ -402,15 +407,11 @@ class TrainingRun:
                 helper.stop()
             raise
         if done:
-            table, losses, probs = _gradient_reply(helper.shared, helper.reply_at, self.grads,
-                                                   second)
+            _, losses, probs = _gradient_reply(helper.shared, helper.reply_at, self.grads, second)
             # copied: the next batch's reply is written over them
             out += [(float(loss), p.copy()) for loss, p in zip(losses, probs)]
         else:
-            if self.spare is None:
-                self.spare = zeros_like(self.grads)
-            table = self.spare
-            table.flat.fill(0)
-            out += serial(second, table)
-        self.grads.flat += table.flat
+            self.spare.flat.fill(0)
+            out += serial(second, self.spare)
+        self.grads.flat += self.spare.flat
         return out

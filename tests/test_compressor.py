@@ -27,7 +27,7 @@ from efpc.errors import InstructionTooLong
 from efpc.model import Model, ModelConfig, ModelParams, init_params, twocore, vocab_from_words
 from efpc.text_core import split_words
 
-from helpers import PARITY_POOL, rigged_model
+from helpers import PARITY_POOL, rigged_model, use_cpus
 
 
 def test_request_needs_exactly_one_target():
@@ -230,17 +230,16 @@ def test_result_record_shape(model):
 # ------------------------------------------------------ two-core scoring
 
 
-def _use_cpus(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 def _random_model(dtype):
-    """A model with spread-out, context-dependent scores: 16-token windows."""
+    """A model with spread-out, context-dependent scores: 16-token windows.
+    A ``"mixed"`` one keeps its head in float64 and the rest in float32."""
     vocab = vocab_from_words(PARITY_POOL)
     config = ModelConfig(vocab_size=vocab.size, embed_dim=16, num_layers=2, num_heads=2,
                          ffn_dim=32, max_seq_len=16, seed=3)
-    params = init_params(config, dtype)
-    tensors = {k: t if "_gamma" in k else t * dtype(40) for k, t in params.tensors.items()}
+    params = init_params(config, np.float32 if dtype == "mixed" else dtype)
+    tensors = {k: t if "_gamma" in k else t * t.dtype.type(40) for k, t in params.tensors.items()}
+    if dtype == "mixed":
+        tensors.update((k, tensors[k].astype(np.float64)) for k in ("cls_w", "cls_b"))
     return Model(config=config, vocab=vocab, params=ModelParams(tensors))
 
 
@@ -249,19 +248,21 @@ def _text(n: int, seed: int) -> str:
     return " ".join(rng.choice(PARITY_POOL) for _ in range(n))
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, "mixed"])
 def test_helper_scores_a_document_bit_identically_to_the_serial_path(monkeypatch, dtype):
     model = _random_model(dtype)
     instruction, original = "amber basalt", split_words(_text(50, 1))
     assert len(compressor._windows(model, instruction, original)) >= 3
     request = CompressionRequest(" ".join(original), instruction, keep_ratio=0.3)
-    _use_cpus(monkeypatch, 1)
+    use_cpus(monkeypatch, 1)
     serial = score_words(model, instruction, original)
     serial_result = compress(model, request)
-    _use_cpus(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
     helped = score_words(model, instruction, original)
-    # the helper holds this model, so it scored the second share
-    assert twocore._helper.alive and twocore._helper.shipped[0]() is model.params
+    # the helper holds this model, so it scored the second share; tensors of
+    # mixed dtypes make no one flat table, so that model scores on one core
+    held = twocore._helper.shipped is not None and twocore._helper.shipped[0]() is model.params
+    assert twocore._helper.alive and held == (dtype != "mixed")
     assert helped.dtype == np.float64
     assert np.array_equal(helped, serial)
     assert compress(model, request) == serial_result
@@ -279,7 +280,7 @@ def test_batch_with_failures_and_short_and_long_requests_matches_the_serial_path
         CompressionRequest(_text(12, 5), keep_ratio=0.25),
         CompressionRequest(_text(33, 6), "ember", unit_budget=10),
     ]
-    _use_cpus(monkeypatch, 1)
+    use_cpus(monkeypatch, 1)
     serial = compress_batch(model, requests)
     one_by_one = []
     for i, request in enumerate(requests):
@@ -287,7 +288,7 @@ def test_batch_with_failures_and_short_and_long_requests_matches_the_serial_path
             one_by_one.append(compress(model, request))
         except (InstructionTooLong, ValueError) as exc:
             one_by_one.append(CompressionFailure(index=i, message=str(exc)))
-    _use_cpus(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
     helped = compress_batch(model, requests)
     assert twocore._helper.alive and twocore._helper.shipped[0]() is model.params
     assert helped == serial == one_by_one
@@ -304,7 +305,7 @@ def test_one_usable_cpu_starts_no_process(monkeypatch, cpus):
     if cpus is None:  # a platform without sched_getaffinity
         monkeypatch.delattr(os, "sched_getaffinity")
     else:
-        _use_cpus(monkeypatch, cpus)
+        use_cpus(monkeypatch, cpus)
     monkeypatch.setattr(twocore, "_helper", None)
     monkeypatch.setattr(twocore, "_Helper", no_fork)
     model = _random_model(np.float32)
@@ -318,9 +319,9 @@ def test_one_usable_cpu_starts_no_process(monkeypatch, cpus):
 def test_a_share_that_raises_leaves_no_reply_queued(monkeypatch):
     model = _random_model(np.float64)
     original = split_words(_text(70, 8))
-    _use_cpus(monkeypatch, 1)
+    use_cpus(monkeypatch, 1)
     expected = score_words(model, "", original)
-    _use_cpus(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
 
     def failing(*args):
         raise RuntimeError("parent share failed")
@@ -336,9 +337,9 @@ def test_threads_compressing_at_once_get_the_serial_results(monkeypatch):
     model = _random_model(np.float32)
     requests = [CompressionRequest(_text(30 + 7 * i, 20 + i), "amber", keep_ratio=0.5)
                 for i in range(6)]
-    _use_cpus(monkeypatch, 1)
+    use_cpus(monkeypatch, 1)
     expected = [compress(model, r) for r in requests]
-    _use_cpus(monkeypatch, 2)
+    use_cpus(monkeypatch, 2)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:

@@ -1,6 +1,7 @@
 """Training and held-out scoring on two cores give the bits of one core,
 and the helper's failures leave them so."""
 
+import errno
 import mmap
 import os
 import random
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from efpc.align import LabeledExample
+from efpc.compressor import CompressionRequest, compress, score_words
 from efpc.errors import NumericalDivergence
 from efpc.model import ModelParams, prepare_examples, token_accuracy, train, training, twocore
 
@@ -200,6 +202,42 @@ def test_one_usable_cpu_trains_and_scores_without_a_process(monkeypatch):
     assert twocore._helper is None
 
 
+def _one_cpu_calls(model, data, config):
+    """``compress`` of a many-window document, ``token_accuracy`` and
+    ``train``: each of them a call that the helper shares on two CPUs."""
+    text = " ".join(w for ex in data for w in ex.words[1:])
+    compressed = compress(model, CompressionRequest(text, "alpha", keep_ratio=0.5))
+    return compressed, token_accuracy(model, data), train(model, data, config)
+
+
+def _assert_same_calls(got, want):
+    assert got[:2] == want[:2]
+    assert got[2][1] == want[2][1]
+    _assert_same_bits(got[2][0], want[2][0])
+
+
+def test_a_failed_fork_leaves_every_call_on_one_core_and_the_lock_free(monkeypatch):
+    forks = []
+
+    def refused():
+        forks.append(1)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    data = _uneven_data()
+    model = _model(data)
+    config = fast_train_config(epochs=2, batch_size=3)
+    use_cpus(monkeypatch, 1)
+    want = _one_cpu_calls(model, data, config)
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(twocore, "_helper", None)
+    monkeypatch.setattr(os, "fork", refused)
+    _assert_same_calls(_one_cpu_calls(model, data, config), want)
+    # one attempt: like a helper that failed, it leaves the process on one core
+    assert len(forks) == 1 and not twocore._helper.alive
+    assert twocore._helper_lock.acquire(blocking=False)
+    twocore._helper_lock.release()
+
+
 def _memfd_descriptors() -> set[str]:
     """This process's open descriptors of memory files; a mapping object
     holds one while it lives."""
@@ -291,7 +329,7 @@ def test_a_forked_child_that_trains_leaves_the_parents_runs_at_the_serial_bits(m
         twocore._helper.stop()
 
 
-def test_without_memfd_create_training_forks_and_maps_nothing(monkeypatch):
+def test_without_memfd_create_scoring_and_training_fork_and_map_nothing(monkeypatch):
     def refused(*args):
         raise AssertionError("a process was started or memory mapped")
 
@@ -299,16 +337,57 @@ def test_without_memfd_create_training_forks_and_maps_nothing(monkeypatch):
     model = _model(data)
     config = fast_train_config(epochs=2, batch_size=3)
     use_cpus(monkeypatch, 1)
-    want, want_report = train(model, data, config)
+    want = _one_cpu_calls(model, data, config)
     use_cpus(monkeypatch, 2)
     monkeypatch.delattr(os, "memfd_create")
     monkeypatch.setattr(twocore, "_helper", None)
     monkeypatch.setattr(os, "fork", refused)
     monkeypatch.setattr(mmap, "mmap", refused)
-    got, report = train(model, data, config)
-    assert report == want_report
-    _assert_same_bits(got, want)
+    _assert_same_calls(_one_cpu_calls(model, data, config), want)
     assert twocore._helper is None
+
+
+def test_a_training_run_between_two_scorings_leaves_the_scored_model(monkeypatch):
+    # the run writes its parameters over the scored model in the mapping
+    data, other = _uneven_data(), parity_examples(8, 9, 14)
+    model = _model(data)
+    use_cpus(monkeypatch, 1)
+    want = token_accuracy(model, data)
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(twocore, "_helper", None)  # this test's own helper
+    try:
+        assert token_accuracy(model, data) == want
+        assert twocore._helper.shipped[0]() is model.params
+        train(_model(other), other, fast_train_config(epochs=1, batch_size=4))
+        calls = _counted(monkeypatch, "encode")
+        assert token_accuracy(model, data) == want
+        # the helper scored the second share, with this model copied in again
+        assert twocore._helper.alive and twocore._helper.shipped[0]() is model.params
+        assert 0 < len(calls) < len(prepare_examples(model, data, "mask"))
+    finally:
+        twocore._helper.stop()
+
+
+def test_a_reply_larger_than_the_mapping_grows_it_and_keeps_the_bits(monkeypatch):
+    data = _uneven_data()
+    model = _model(data)
+    words = [w for ex in data for w in ex.words[1:]]
+    short, long = words[:30], words * 8  # 2 windows, then over 100
+    use_cpus(monkeypatch, 1)
+    want = [score_words(model, "alpha", original) for original in (short, long)]
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(twocore, "_helper", None)  # this test's own helper
+    try:
+        got = [score_words(model, "alpha", short)]
+        before = twocore._helper.shared
+        got.append(score_words(model, "alpha", long))
+        # a new, larger mapping, with the model copied into it
+        assert len(twocore._helper.shared) > len(before)
+        assert twocore._helper.alive and twocore._helper.shipped[0]() is model.params
+        for g, w in zip(got, want, strict=True):
+            assert g.tobytes() == w.tobytes()
+    finally:
+        twocore._helper.stop()
 
 
 _ONE_CPU = """
