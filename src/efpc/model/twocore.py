@@ -91,11 +91,11 @@ def _serve(conn, parent_end) -> None:
     descriptor of the shared mapping. A ``("model", config, dtype, shapes,
     reply_at)`` one sets the model that later requests work with: the flat
     table at the mapping's start, with replies at byte ``reply_at``. A
-    ``("score", windows)`` request gets the windows' float64
-    probabilities there. A ``("grads", examples, loss_variant)`` one gets
-    the sum of the examples' gradients, in order, and each one's loss and
-    probabilities (see ``_gradient_reply``). Each request is answered with
-    an empty message once its reply is written. ``None`` or a closed pipe ends the
+    ``("score", windows)`` request gets the windows' float64 probabilities
+    there. A ``("grads", examples, loss_variant)`` one gets the sum of the
+    examples' gradients, in order, and each one's loss and probabilities
+    (see ``_gradient_reply``). Each request is answered with an empty
+    message once its reply is written. ``None`` or a closed pipe ends the
     loop. Any failure ends it too: the parent then computes the share
     itself and meets the same error there, if it is one."""
     parent_end.close()  # so the parent's exit closes the pipe and ends this loop
