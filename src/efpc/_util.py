@@ -45,8 +45,8 @@ _KINDS = {
 def read_jsonl(path, build, required=(), types=None) -> list:
     """``build(record)`` for each JSON object line of a UTF-8 JSONL file.
 
-    Blank lines are skipped. A line that is not UTF-8 JSON, is not an
-    object, lacks a field named in ``required``, has a field whose value
+    Blank lines are skipped. A line that is not UTF-8 JSON, is nested too
+    deep to decode, is not an object, lacks a field named in ``required``, has a field whose value
     is not of the kind ``types`` names for it (a key of ``_KINDS``), or
     makes ``build`` raise a ``TypeError``, ``ValueError`` or package
     error, raises :class:`RecordError` with the message
@@ -71,7 +71,7 @@ def read_jsonl(path, build, required=(), types=None) -> list:
                             f"field {key!r} must be a {kind}, got {json.dumps(rec[key])[:40]}"
                         )
                 records.append(build(rec))
-            except (EfpcError, TypeError, ValueError) as exc:
+            except (EfpcError, TypeError, ValueError, RecursionError) as exc:
                 raise RecordError(f"{path}:{lineno}: {exc}") from exc
     return records
 

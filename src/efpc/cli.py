@@ -8,9 +8,9 @@ library versions — never timestamps — so identical runs produce identical
 trees.
 
 Exit codes: 0 success, 1 user error (flags, unreadable files, a malformed
-data record, reported as ``path:line: reason``, or data too small or too
-short for the request), 2 runtime failure (provider, pipeline, or
-checkpoint trouble).
+data record, reported as ``path:line: reason``, data too small or too
+short for the request, or model shape flags too large to allocate), 2
+runtime failure (provider, pipeline, or checkpoint trouble).
 """
 
 from __future__ import annotations
@@ -475,10 +475,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-# exit 1: the flags or an input file need fixing, including data too small
-# or too short for what was asked of it; any other package error exits 2
+# exit 1: the flags or an input file need fixing (data too small or too short
+# for what was asked, a model too large to allocate); other package errors exit 2
 _USER_ERRORS = (ConfigValidationError, RecordError, EmptyDataset, InsufficientData,
-                InstructionTooLong, ValueError, OSError)
+                InstructionTooLong, ValueError, OSError, MemoryError)
 
 
 def run_cli(argv=None) -> int:
@@ -498,7 +498,7 @@ def run_cli(argv=None) -> int:
         if out is not None and not Path(out).parent.is_dir():
             raise ConfigValidationError(f"--out {out}: {Path(out).parent} is not a directory")
         return args.func(args)
-    except (EfpcError, ValueError, OSError) as exc:
+    except (EfpcError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, _USER_ERRORS) else 2
 

@@ -126,8 +126,9 @@ def train(
     longest = max(len(ex.token_ids) for ex in examples)
     stats: list[EpochStats] = []
 
+    # the helper's reply is sized for a batch, and no batch holds more than every example
     with twocore.TrainingRun(shapes, emb.dtype, model.config, longest,
-                             config.batch_size) as run:
+                             min(config.batch_size, len(examples))) as run:
         # flat tables: the checks, the averaging, Adam and the zeroing after
         # each step run once over all the tensors
         params, grads = run.params, run.grads

@@ -19,19 +19,20 @@ helper calls ``network``'s own.
 
 One helper serves the process. It is forked on the first such call and is
 stopped when the process exits; it exits by itself when this process
-dies. It shares one mapping with this process: the model it works with
-sits at the start, as one flat table, and it writes its replies into the
-area after it and answers each request with one short message. Scoring
-copies a model in only when the mapping does not hold it already; a
-``TrainingRun`` keeps the run's parameters there, so the helper reads the
-parameters Adam updated in place. The process keeps one mapping, replaced
-by a larger one only when a model and its reply need more room; its
-descriptor goes to the helper once per mapping.
+dies. Just before the fork the process maps one memory file, which the
+helper inherits and which is never replaced: the model the helper works
+with sits at its start, as one flat table, and the helper writes its
+replies into the area after it and answers each request with one short
+message. Scoring copies a model in only when the mapping does not hold it
+already; a ``TrainingRun`` keeps the run's parameters there, so the helper
+reads the parameters Adam updated in place. A call whose model and reply
+do not fit in the mapping runs on one core, and the helper waits for the
+next.
 
 With one window or example, fewer than two usable CPUs, or no
-``os.memfd_create``, nothing is forked. If the helper cannot be forked,
-dies or fails, this process does that share itself and stays serial from
-then on.
+``os.memfd_create``, nothing is forked. If the mapping cannot be made, or
+the helper cannot be forked, dies or fails, this process does that share
+itself and stays serial from then on.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import threading
 import time
 import weakref
 from itertools import accumulate
-from multiprocessing import reduction
 
 import numpy as np
 
@@ -56,6 +56,13 @@ from .params import FlatTable, ModelParams, zeros_like
 
 # a window as scored: its token ids and the position of its first original word
 Window = tuple[tuple[int, ...], int]
+
+# the size of the mapping each process shares with its helper, made once and
+# never grown: a memory file's untouched pages take no memory and no commit
+# charge, and the default model (3.75 MB) with its replies uses a few MB. It
+# is at most a quarter of a soft RLIMIT_AS (ulimit -v), leaving the rest to
+# the program, and at most a soft RLIMIT_FSIZE (ulimit -f), past which no file grows
+_RESERVE = 1 << 40
 
 
 def _score(params: ModelParams, config, windows: list[Window], encode, classify) -> np.ndarray:
@@ -86,33 +93,25 @@ def _gradient_reply(shared, at: int, table: FlatTable, examples) -> tuple:
     return grads, values[: len(examples)], [p.reshape(-1, 2) for p in probs]
 
 
-def _serve(conn, parent_end) -> None:
-    """The helper's loop. A ``("map", size)`` message is followed by the
-    descriptor of the shared mapping. A ``("model", config, dtype, shapes,
-    reply_at)`` one sets the model that later requests work with: the flat
-    table at the mapping's start, with replies at byte ``reply_at``. A
-    ``("score", windows)`` request gets the windows' float64 probabilities
-    there. A ``("grads", examples, loss_variant)`` one gets the sum of the
-    examples' gradients, in order, and each one's loss and probabilities
-    (see ``_gradient_reply``). Each request is answered with an empty
-    message once its reply is written. ``None`` or a closed pipe ends the
-    loop. Any failure ends it too: the parent then computes the share
-    itself and meets the same error there, if it is one."""
+def _serve(conn, parent_end, shared) -> None:
+    """The helper's loop, over ``shared``, the mapping it inherited. A
+    ``("model", config, dtype, shapes, reply_at)`` message sets the model
+    that later requests work with: the flat table at the mapping's start,
+    with replies at byte ``reply_at``. A ``("score", windows)`` request
+    gets the windows' float64 probabilities there. A ``("grads", examples,
+    loss_variant)`` one gets the sum of the examples' gradients, in order,
+    and each one's loss and probabilities (see ``_gradient_reply``). Each
+    request is answered with an empty message once its reply is written.
+    ``None`` or a closed pipe ends the loop. Any failure ends it too: the
+    parent then computes the share itself and meets the same error there,
+    if it is one."""
     parent_end.close()  # so the parent's exit closes the pipe and ends this loop
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
     gc.freeze()  # collections leave the pages shared with the parent alone
-    shared = params = config = reply_at = None
+    params = config = reply_at = None
     try:
         while (msg := conn.recv()) is not None:
-            if msg[0] == "map":
-                import mmap
-
-                fd = reduction.recv_handle(conn)
-                try:
-                    shared = mmap.mmap(fd, msg[1])
-                finally:
-                    os.close(fd)
-            elif msg[0] == "model":
+            if msg[0] == "model":
                 _, config, dtype, shapes, reply_at = msg
                 size = sum(math.prod(shape) for shape in shapes.values())
                 params = ModelParams(FlatTable(np.frombuffer(shared, dtype, size), shapes))
@@ -147,29 +146,43 @@ class _Helper:
     """
 
     def __init__(self):
+        import mmap  # here, so that importing efpc does not load it
+        import resource
+
         self.owner = os.getpid()
         # a weak reference to the params scoring copied into the mapping, and
         # their config: None once anything else may have been written there
         self.shipped: tuple[weakref.ref, object] | None = None
-        # the mapping this process shares with the helper, and where in it
-        # the helper writes its replies
-        self.shared = None
+        # where in the mapping the helper writes its replies
         self.reply_at = 0
         self.alive = False
+        reserve = _RESERVE
+        for kind, share in ((resource.RLIMIT_AS, 4), (resource.RLIMIT_FSIZE, 1)):
+            limit = resource.getrlimit(kind)[0]
+            if limit != resource.RLIM_INFINITY:
+                reserve = min(reserve, limit // share)
         ends = ()
         try:
+            fd = os.memfd_create("efpc-train", os.MFD_CLOEXEC)
+            try:
+                os.ftruncate(fd, reserve)
+                # the mapping this process shares with the helper
+                self.shared = mmap.mmap(fd, reserve)
+            finally:
+                os.close(fd)
             ends = multiprocessing.Pipe()
             self.pid = os.fork()
         except OSError:
-            # no pipe or process to be had: the helper starts stopped, and the
-            # process stays on one core as after a helper failure
+            # no mapping, pipe or process to be had: the helper starts stopped,
+            # and the process stays on one core as after a helper failure
+            self.shared = None
             for end in ends:
                 end.close()
             return
         self.conn, child_end = ends
         if self.pid == 0:
             try:
-                _serve(child_end, self.conn)
+                _serve(child_end, self.conn, self.shared)
             finally:
                 os._exit(0)  # no exit handlers: they are the parent's
         child_end.close()
@@ -189,31 +202,13 @@ class _Helper:
              reply_bytes: int) -> FlatTable | None:
         """A table of the given shapes at the start of the mapping, which
         the helper now takes as its model, with ``reply_bytes`` free from
-        ``reply_at`` on. The mapping is made, or replaced by one of twice
-        the size or more with its descriptor sent, when it is too small.
-        None, with the helper stopped, if that failed."""
+        ``reply_at`` on. None if they do not fit in the mapping, and, with
+        the helper stopped, if the helper is gone."""
         size = sum(math.prod(shape) for shape in shapes.values())
         reply_at = _padded(size * dtype.itemsize)
+        if reply_at + reply_bytes > len(self.shared):
+            return None
         self.shipped = None  # the caller writes the table over what was there
-        if self.shared is None or len(self.shared) < reply_at + reply_bytes:
-            import mmap  # here, so that importing efpc does not load it
-
-            nbytes = reply_at + reply_bytes
-            if self.shared is not None:
-                nbytes = max(nbytes, 2 * len(self.shared))
-            try:
-                fd = os.memfd_create("efpc-train", os.MFD_CLOEXEC)
-                try:
-                    os.ftruncate(fd, nbytes)  # untouched pages take no memory
-                    shared = mmap.mmap(fd, nbytes)
-                    self.conn.send(("map", nbytes))
-                    reduction.send_handle(self.conn, fd, self.pid)
-                finally:
-                    os.close(fd)
-            except OSError:
-                self.stop()
-                return None
-            self.shared = shared
         if not self.send(("model", config, dtype.str, shapes, reply_at)):
             return None
         self.reply_at = reply_at
@@ -222,8 +217,9 @@ class _Helper:
     def ship(self, params: ModelParams, config, reply_bytes: int) -> bool:
         """Make ``params`` the helper's model, with ``reply_bytes`` free for
         its reply, copying the tensors into the mapping unless they are
-        there already. False if the helper is gone, or if the tensors mix
-        dtypes and so make no one flat table."""
+        there already. False if the helper is gone, if the tensors and the
+        reply do not fit in the mapping, or if the tensors mix dtypes and so
+        make no one flat table."""
         tensors = params.tensors
         if (self.shipped is not None and self.shipped[0]() is params
                 and self.shipped[1] == config

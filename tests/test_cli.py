@@ -390,13 +390,14 @@ def _bad_line(kind, fault):
         return json.dumps({k: v for k, v in good.items() if k != REQUIRED_FIELD[kind]})
     if (kind, fault) in BAD_VALUES:
         return json.dumps(good | BAD_VALUES[kind, fault])
-    return {"not an object": '["a"]', "bad json": "{nope"}[fault]
+    return {"not an object": '["a"]', "bad json": "{nope",
+            "too deep": "[" * 100000 + "]" * 100000}[fault]
 
 
 RECORD_FAULTS = [
     (kind, fault)
     for kind in sorted(GOOD_RECORDS)
-    for fault in ("missing field", "not an object", "bad json")
+    for fault in ("missing field", "not an object", "bad json", "too deep")
 ] + sorted(BAD_VALUES)
 
 
@@ -598,6 +599,16 @@ def test_out_of_range_setting_flag_exits_one_naming_the_setting(pipeline, tmp_pa
     before = sorted(tmp_path.iterdir())
     assert run_cli(argv + [flag, value]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_a_model_too_large_to_allocate_exits_one_and_writes_nothing(pipeline, tmp_path, capsys):
+    # a position table larger than any address space: refused before any page is touched
+    argv = _command_argv("train", pipeline, tmp_path) + ["--max-seq-len", "1000000000000000"]
+    before = sorted(tmp_path.iterdir())
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == before
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from efpc import compressor
 from efpc.align import LabeledExample
 from efpc.compressor import CompressionRequest, compress, score_words
 from efpc.errors import NumericalDivergence
@@ -37,16 +38,16 @@ def _model(data, dtype=np.float32):
     return replace(model, params=ModelParams(tensors))
 
 
-def _counted(monkeypatch, name: str) -> list:
-    """Count the calls of ``training.<name>``, which this process makes."""
+def _counted(monkeypatch, name: str, module=training) -> list:
+    """Count the calls of ``module.<name>``, which this process makes."""
     calls = []
-    original = getattr(training, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(training, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -90,6 +91,27 @@ def test_training_with_the_helper_keeps_the_serial_bits(monkeypatch, batch_size,
     _assert_same_bits(got, want)
     # the helper computed the second share of every batch
     assert len(calls) == sum(map(_own_share, _batches(model, data, config)))
+
+
+def test_a_batch_size_above_the_data_trains_as_one_batch_of_every_window(monkeypatch):
+    data = _uneven_data()
+    model = _model(data)
+    config = fast_train_config(epochs=2, batch_size=10**12)
+    windows = len(prepare_examples(model, data, config.loss_variant))
+    use_cpus(monkeypatch, 1)
+    want, want_report = train(model, data, replace(config, batch_size=windows))
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(twocore, "_helper", None)  # this test's own helper
+    calls = _counted(monkeypatch, "backward_detailed")
+    try:
+        got, report = train(model, data, config)
+        assert report == want_report
+        _assert_same_bits(got, want)
+        # the helper's reply was sized for the data, not for the batch size
+        assert len(calls) == sum(map(_own_share, _batches(model, data, config)))
+        assert twocore._helper.alive
+    finally:
+        twocore._helper.stop()
 
 
 def test_token_accuracy_on_two_cores_gives_the_serial_figures(monkeypatch):
@@ -216,12 +238,16 @@ def _assert_same_calls(got, want):
     _assert_same_bits(got[2][0], want[2][0])
 
 
-def test_a_failed_fork_leaves_every_call_on_one_core_and_the_lock_free(monkeypatch):
-    forks = []
+@pytest.mark.parametrize("module, name, error", [
+    (os, "fork", errno.EAGAIN), (os, "ftruncate", errno.ENOMEM), (mmap, "mmap", errno.ENOMEM),
+], ids=["fork", "ftruncate", "mmap"])
+def test_a_failed_fork_leaves_every_call_on_one_core_and_the_lock_free(monkeypatch, module, name,
+                                                                      error):
+    attempts = []
 
-    def refused():
-        forks.append(1)
-        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    def refused(*args):
+        attempts.append(1)
+        raise OSError(error, os.strerror(error))
 
     data = _uneven_data()
     model = _model(data)
@@ -230,10 +256,13 @@ def test_a_failed_fork_leaves_every_call_on_one_core_and_the_lock_free(monkeypat
     want = _one_cpu_calls(model, data, config)
     use_cpus(monkeypatch, 2)
     monkeypatch.setattr(twocore, "_helper", None)
-    monkeypatch.setattr(os, "fork", refused)
+    fds = _memfd_descriptors()
+    monkeypatch.setattr(module, name, refused)
     _assert_same_calls(_one_cpu_calls(model, data, config), want)
-    # one attempt: like a helper that failed, it leaves the process on one core
-    assert len(forks) == 1 and not twocore._helper.alive
+    # one attempt: like a helper that failed, it leaves the process on one
+    # core, and the memory file made for it is closed
+    assert len(attempts) == 1 and not twocore._helper.alive
+    assert _memfd_descriptors() <= fds
     assert twocore._helper_lock.acquire(blocking=False)
     twocore._helper_lock.release()
 
@@ -267,12 +296,18 @@ def test_runs_in_one_process_share_one_mapping_and_no_descriptor(monkeypatch):
     monkeypatch.setattr(twocore, "_helper", None)  # this test's own helper
     # the helper other tests share may hold a mapping of its own
     before, fds = _training_mappings(), _memfd_descriptors()
+    made = _counted(monkeypatch, "memfd_create", os)
     try:
+        mapped = []
         for data in _growing_datasets():
             train(_model(data), data, fast_train_config(epochs=1, batch_size=4))
             assert len(_memfd_descriptors() - fds) <= 1
-        # a larger mapping replaced the smaller ones, which are unmapped
-        assert len(_training_mappings() - before) == 1
+            mapped.append(_training_mappings() - before)
+        token_accuracy(_model(data), data)
+        mapped.append(_training_mappings() - before)
+        # one mapping, made before the fork, at the same addresses throughout
+        assert len(made) == 1 and len(mapped[0]) == 1
+        assert all(m == mapped[0] for m in mapped)
         assert twocore._helper.alive
     finally:
         twocore._helper.stop()
@@ -368,24 +403,39 @@ def test_a_training_run_between_two_scorings_leaves_the_scored_model(monkeypatch
         twocore._helper.stop()
 
 
-def test_a_reply_larger_than_the_mapping_grows_it_and_keeps_the_bits(monkeypatch):
+def test_a_call_that_does_not_fit_the_mapping_runs_on_one_core_and_keeps_the_helper(monkeypatch):
     data = _uneven_data()
     model = _model(data)
+    config = fast_train_config(epochs=2, batch_size=3)
     words = [w for ex in data for w in ex.words[1:]]
-    short, long = words[:30], words * 8  # 2 windows, then over 100
+    long, short = words * 8, words[:30]  # over 100 windows, then 3
+    one_cpu = []
     use_cpus(monkeypatch, 1)
-    want = [score_words(model, "alpha", original) for original in (short, long)]
+    for original in (long, short):
+        calls = _counted(monkeypatch, "encode", compressor)
+        one_cpu.append((score_words(model, "alpha", original), len(calls)))
+    want, want_report = train(model, data, config)
     use_cpus(monkeypatch, 2)
+    # room for the model and the short call's reply: not for the long call's
+    # reply, nor for a training run's parameters and gradients
+    model_bytes = sum(t.nbytes for t in model.params.tensors.values())
+    monkeypatch.setattr(twocore, "_RESERVE", twocore._padded(model_bytes) + 8 * len(short))
     monkeypatch.setattr(twocore, "_helper", None)  # this test's own helper
     try:
-        got = [score_words(model, "alpha", short)]
-        before = twocore._helper.shared
-        got.append(score_words(model, "alpha", long))
-        # a new, larger mapping, with the model copied into it
-        assert len(twocore._helper.shared) > len(before)
+        calls = _counted(monkeypatch, "encode", compressor)
+        assert score_words(model, "alpha", long).tobytes() == one_cpu[0][0].tobytes()
+        assert len(calls) == one_cpu[0][1] and twocore._helper.alive
+        calls = _counted(monkeypatch, "backward_detailed")
+        got, report = train(model, data, config)
+        assert report == want_report
+        _assert_same_bits(got, want)
+        assert len(calls) == sum(map(len, _batches(model, data, config)))
+        assert twocore._helper.alive
+        # the next call that fits goes to the helper
+        calls = _counted(monkeypatch, "encode", compressor)
+        assert score_words(model, "alpha", short).tobytes() == one_cpu[1][0].tobytes()
+        assert 0 < len(calls) < one_cpu[1][1]
         assert twocore._helper.alive and twocore._helper.shipped[0]() is model.params
-        for g, w in zip(got, want, strict=True):
-            assert g.tobytes() == w.tobytes()
     finally:
         twocore._helper.stop()
 
@@ -406,9 +456,33 @@ with open("/proc/self/maps") as fh:
 """
 
 
-def test_importing_efpc_loads_no_mmap_and_one_cpu_training_maps_nothing():
+_UNDER_A_LIMIT = """
+import os, resource
+from efpc.model import train, twocore
+from helpers import fast_train_config, parity_examples, small_model
+
+# this process only, as under ulimit -v 8388608 or ulimit -f 1048576
+resource.setrlimit(resource.{kind}, ({size}, resource.getrlimit(resource.{kind})[1]))
+os.sched_getaffinity = lambda pid: {{0, 1}}
+data = parity_examples(8, 1)
+train(small_model(data), data, fast_train_config(epochs=1, batch_size=4))
+assert twocore._helper.alive, "the helper is gone under a soft {kind} of {size}"
+"""
+
+
+def _run_python(code: str) -> None:
+    """Run ``code`` in a new interpreter that imports efpc and the test helpers."""
     here = Path(__file__).resolve().parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(here.parent / "src"), str(here)))}
-    done = subprocess.run([sys.executable, "-c", _ONE_CPU], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_importing_efpc_loads_no_mmap_and_one_cpu_training_maps_nothing():
+    _run_python(_ONE_CPU)
+
+
+@pytest.mark.parametrize("kind, size", [("RLIMIT_AS", 8 << 30), ("RLIMIT_FSIZE", 1 << 30)])
+def test_a_process_under_an_address_space_or_file_size_limit_keeps_its_helper(kind, size):
+    _run_python(_UNDER_A_LIMIT.format(kind=kind, size=size))
