@@ -46,11 +46,11 @@ def read_jsonl(path, build, required=(), types=None) -> list:
     """``build(record)`` for each JSON object line of a UTF-8 JSONL file.
 
     Blank lines are skipped. A line that is not UTF-8 JSON, is nested too
-    deep to decode, is not an object, lacks a field named in ``required``, has a field whose value
-    is not of the kind ``types`` names for it (a key of ``_KINDS``), or
-    makes ``build`` raise a ``TypeError``, ``ValueError`` or package
-    error, raises :class:`RecordError` with the message
-    ``path:line: reason``.
+    deep to decode, is not an object, lacks a field named in ``required``,
+    has a field whose value is not of the kind ``types`` names for it (a
+    key of ``_KINDS``), or makes ``build`` raise a ``TypeError``,
+    ``ValueError`` or package error, raises :class:`RecordError` with the
+    message ``path:line: reason``.
     """
     types = types or {}
     records = []

@@ -499,7 +499,7 @@ def run_cli(argv=None) -> int:
             raise ConfigValidationError(f"--out {out}: {Path(out).parent} is not a directory")
         return args.func(args)
     except (EfpcError, ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1 if isinstance(exc, _USER_ERRORS) else 2
 
 

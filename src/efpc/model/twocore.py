@@ -17,17 +17,16 @@ summing both shares, so one core and two give the same bits. This
 process's share goes through the functions the caller passes in; the
 helper calls ``network``'s own.
 
-One helper serves the process. It is forked on the first such call and is
-stopped when the process exits; it exits by itself when this process
+One helper serves the process. It is forked on the first such call and
+is stopped when the process exits; it exits by itself when this process
 dies. Just before the fork the process maps one memory file, which the
 helper inherits and which is never replaced: the model the helper works
 with sits at its start, as one flat table, and the helper writes its
 replies into the area after it and answers each request with one short
-message. Scoring copies a model in only when the mapping does not hold it
-already; a ``TrainingRun`` keeps the run's parameters there, so the helper
-reads the parameters Adam updated in place. A call whose model and reply
-do not fit in the mapping runs on one core, and the helper waits for the
-next.
+message. Scoring copies a model in only when the mapping does not hold
+it already; a ``TrainingRun`` keeps the run's parameters there, so the
+helper reads the parameters Adam updated in place. A call whose model
+and reply do not fit runs on one core.
 
 With one window or example, fewer than two usable CPUs, or no
 ``os.memfd_create``, nothing is forked. If the mapping cannot be made, or
@@ -59,10 +58,11 @@ Window = tuple[tuple[int, ...], int]
 
 # the size of the mapping each process shares with its helper, made once and
 # never grown: a memory file's untouched pages take no memory and no commit
-# charge, and the default model (3.75 MB) with its replies uses a few MB. It
-# is at most a quarter of a soft RLIMIT_AS (ulimit -v), leaving the rest to
-# the program, and at most a soft RLIMIT_FSIZE (ulimit -f), past which no file grows
-_RESERVE = 1 << 40
+# charge, and 64 GiB is an eighth of the smallest 64-bit Linux address space.
+# Where address space is scarce, in a 32-bit process or under a soft RLIMIT_AS
+# (ulimit -v), which counts the whole mapping, it is 64 MiB: sixteen times
+# what the default model (3.75 MB) and its replies need
+_RESERVE, _SCARCE_RESERVE = 64 << 30, 64 << 20
 
 
 def _score(params: ModelParams, config, windows: list[Window], encode, classify) -> np.ndarray:
@@ -156,11 +156,11 @@ class _Helper:
         # where in the mapping the helper writes its replies
         self.reply_at = 0
         self.alive = False
-        reserve = _RESERVE
-        for kind, share in ((resource.RLIMIT_AS, 4), (resource.RLIMIT_FSIZE, 1)):
-            limit = resource.getrlimit(kind)[0]
-            if limit != resource.RLIM_INFINITY:
-                reserve = min(reserve, limit // share)
+        unlimited = resource.RLIM_INFINITY
+        scarce = resource.getrlimit(resource.RLIMIT_AS)[0] != unlimited
+        reserve = _SCARCE_RESERVE if scarce or np.iinfo(np.intp).max < _RESERVE else _RESERVE
+        if (file_limit := resource.getrlimit(resource.RLIMIT_FSIZE)[0]) != unlimited:
+            reserve = min(reserve, file_limit)  # no file grows past it (ulimit -f)
         ends = ()
         try:
             fd = os.memfd_create("efpc-train", os.MFD_CLOEXEC)
@@ -172,7 +172,7 @@ class _Helper:
                 os.close(fd)
             ends = multiprocessing.Pipe()
             self.pid = os.fork()
-        except OSError:
+        except (OSError, OverflowError, ValueError):
             # no mapping, pipe or process to be had: the helper starts stopped,
             # and the process stays on one core as after a helper failure
             self.shared = None
@@ -221,8 +221,7 @@ class _Helper:
         reply do not fit in the mapping, or if the tensors mix dtypes and so
         make no one flat table."""
         tensors = params.tensors
-        if (self.shipped is not None and self.shipped[0]() is params
-                and self.shipped[1] == config
+        if (self.shipped is not None and self.shipped[0]() is params and self.shipped[1] == config
                 and len(self.shared) >= self.reply_at + reply_bytes):
             return True
         dtype = next(iter(tensors.values())).dtype
@@ -349,22 +348,25 @@ class TrainingRun:
         self.helper = None
         size = sum(math.prod(shape) for shape in shapes.values())
         self.grads = FlatTable(np.zeros(size, dtype), shapes)
+        table = None
         if batch_size > 1 and _helper_lock.acquire(blocking=False):
             # a batch's reply: its second share's table, then the losses and
             # probabilities of at most batch_size - 1 windows of the longest
             reply = _padded(self.grads.flat.nbytes) + 8 * (batch_size - 1) * (1 + 2 * longest)
-            helper = _usable_helper()
-            table = helper.load(shapes, dtype, config, reply) if helper else None
-            if table is None:
-                _helper_lock.release()
-            else:
-                self.helper, self.params = helper, ModelParams(table)
-                # where the second share's gradients are summed: the reply's table
-                self.spare = FlatTable(np.frombuffer(helper.shared, dtype, size, helper.reply_at),
-                                       shapes)
-        if self.helper is None:
+            try:
+                helper = _usable_helper()
+                table = helper.load(shapes, dtype, config, reply) if helper else None
+            finally:
+                if table is None:
+                    _helper_lock.release()
+        if table is None:
             self.params = ModelParams(FlatTable(np.empty(size, dtype), shapes))
             self.spare = zeros_like(self.grads)
+        else:
+            self.helper, self.params = helper, ModelParams(table)
+            # where the second share's gradients are summed: the reply's table
+            self.spare = FlatTable(np.frombuffer(helper.shared, dtype, size, helper.reply_at),
+                                   shapes)
 
     def __enter__(self) -> TrainingRun:
         return self

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from efpc import cli
 from efpc.cli import run_cli
 from efpc.distill import API_KEY_ENV, HttpProvider, MockProvider
 from efpc.model import ModelConfig, TrainConfig, load_checkpoint
@@ -610,6 +611,16 @@ def test_a_model_too_large_to_allocate_exits_one_and_writes_nothing(pipeline, tm
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_an_out_of_memory_error_without_a_message_is_named(pipeline, tmp_path, monkeypatch,
+                                                            capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError  # as the allocator raises it: no message
+
+    monkeypatch.setattr(cli, "train", exhausted)
+    assert run_cli(_command_argv("train", pipeline, tmp_path)) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -238,16 +238,23 @@ def _assert_same_calls(got, want):
     _assert_same_bits(got[2][0], want[2][0])
 
 
+def _refusal(code: int) -> OSError:
+    return OSError(code, os.strerror(code))
+
+
 @pytest.mark.parametrize("module, name, error", [
-    (os, "fork", errno.EAGAIN), (os, "ftruncate", errno.ENOMEM), (mmap, "mmap", errno.ENOMEM),
-], ids=["fork", "ftruncate", "mmap"])
+    (os, "fork", _refusal(errno.EAGAIN)), (os, "ftruncate", _refusal(errno.ENOMEM)),
+    (mmap, "mmap", _refusal(errno.ENOMEM)),
+    # a length past a 32-bit process's sizes
+    (mmap, "mmap", OverflowError("Python int too large to convert to C ssize_t")),
+], ids=["fork", "ftruncate", "mmap", "mmap-overflow"])
 def test_a_failed_fork_leaves_every_call_on_one_core_and_the_lock_free(monkeypatch, module, name,
                                                                       error):
     attempts = []
 
     def refused(*args):
         attempts.append(1)
-        raise OSError(error, os.strerror(error))
+        raise error
 
     data = _uneven_data()
     model = _model(data)
@@ -419,7 +426,9 @@ def test_a_call_that_does_not_fit_the_mapping_runs_on_one_core_and_keeps_the_hel
     # room for the model and the short call's reply: not for the long call's
     # reply, nor for a training run's parameters and gradients
     model_bytes = sum(t.nbytes for t in model.params.tensors.values())
-    monkeypatch.setattr(twocore, "_RESERVE", twocore._padded(model_bytes) + 8 * len(short))
+    room = twocore._padded(model_bytes) + 8 * len(short)
+    monkeypatch.setattr(twocore, "_RESERVE", room)
+    monkeypatch.setattr(twocore, "_SCARCE_RESERVE", room)
     monkeypatch.setattr(twocore, "_helper", None)  # this test's own helper
     try:
         calls = _counted(monkeypatch, "encode", compressor)
@@ -457,16 +466,30 @@ with open("/proc/self/maps") as fh:
 
 
 _UNDER_A_LIMIT = """
-import os, resource
+import mmap, os, resource
 from efpc.model import train, twocore
 from helpers import fast_train_config, parity_examples, small_model
+
+
+def address_space() -> int:
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmSize:"))
+
 
 # this process only, as under ulimit -v 8388608 or ulimit -f 1048576
 resource.setrlimit(resource.{kind}, ({size}, resource.getrlimit(resource.{kind})[1]))
 os.sched_getaffinity = lambda pid: {{0, 1}}
 data = parity_examples(8, 1)
+room = {size} - address_space() - (256 << 20)
 train(small_model(data), data, fast_train_config(epochs=1, batch_size=4))
 assert twocore._helper.alive, "the helper is gone under a soft {kind} of {size}"
+if resource.{kind} == resource.RLIMIT_AS:
+    # the program keeps its room: all but 256 MiB of the address space left
+    # before training can still be mapped, here on a memory file that takes
+    # no memory
+    fd = os.memfd_create("room")
+    os.ftruncate(fd, room)
+    mmap.mmap(fd, room)
 """
 
 
