@@ -92,8 +92,7 @@ def _score_windows(model: Model, windows) -> np.ndarray:
     """Preserve probabilities of every window's original words,
     concatenated in window order, on two cores where there are two (see
     ``model.twocore``)."""
-    pairs = [(w.token_ids, w.boundary) for w in windows]
-    return twocore.score_windows(model.params, model.config, pairs, encode, classify)
+    return twocore.score_windows(model.params, model.config, windows, encode, classify)
 
 
 def score_words(model: Model, instruction: str, original: tuple[str, ...]) -> np.ndarray:

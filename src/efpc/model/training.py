@@ -45,7 +45,6 @@ from . import twocore
 from .adam import adam_step, init_adam
 from .bundle import Model
 from .config import TrainConfig
-from .losses import PRESERVE_COL
 from .network import backward_detailed, classify, encode
 from .params import FlatTable, ModelParams
 from .tokenizer import TokenizedExample, window_example
@@ -147,14 +146,14 @@ def train(
             for batch_no, lo in enumerate(range(0, len(order), config.batch_size)):
                 batch = [examples[i] for i in order[lo : lo + config.batch_size]]
                 where = f"epoch {epoch} batch {batch_no}"
-                results = run.gradients(batch, config.loss_variant, backward_detailed)
-                for ex, (loss, probs) in zip(batch, results, strict=True):
+                losses, preserve = run.gradients(batch, config.loss_variant, backward_detailed)
+                for loss in losses:
                     if not math.isfinite(loss):
                         raise NumericalDivergence(f"{where}: loss is {loss}")
                     loss_sum += loss
-                    c, t = _batch_accuracy(probs[ex.boundary :, PRESERVE_COL], ex.labels)
-                    correct += c
-                    total += t
+                c, t = _batch_accuracy(preserve, np.concatenate([ex.labels for ex in batch]))
+                correct += c
+                total += t
                 if (name := _non_finite(grads)) is not None:
                     raise NumericalDivergence(f"{where}: {name} gradient is not finite")
                 grads.flat /= len(batch)
@@ -204,7 +203,7 @@ def token_accuracy(
     if not dataset:
         raise EmptyDataset("no examples to score")
     windows = [prepare_examples(model, [ex], loss_variant) for ex in dataset]
-    flat = [(w.token_ids, w.boundary) for ws in windows for w in ws]
+    flat = [w for ws in windows for w in ws]
     # an example whose words are all instruction has no window
     preserve = (twocore.score_windows(model.params, model.config, flat, encode, classify)
                 if flat else np.empty(0))

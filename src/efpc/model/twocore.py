@@ -22,11 +22,12 @@ is stopped when the process exits; it exits by itself when this process
 dies. Just before the fork the process maps one memory file, which the
 helper inherits and which is never replaced: the model the helper works
 with sits at its start, as one flat table, and the helper writes its
-replies into the area after it and answers each request with one short
-message. Scoring copies a model in only when the mapping does not hold
-it already; a ``TrainingRun`` keeps the run's parameters there, so the
-helper reads the parameters Adam updated in place. A call whose model
-and reply do not fit runs on one core.
+replies into the area after it (see ``_reply``). Each request names its
+model, so the helper keeps nothing between requests. Scoring copies a
+model in only when the mapping does not hold it already; a
+``TrainingRun`` keeps the run's parameters there, so the helper reads the
+parameters Adam updated in place. A call whose model and reply do not
+fit runs on one core.
 
 With one window or example, fewer than two usable CPUs, or no
 ``os.memfd_create``, nothing is forked. If the mapping cannot be made, or
@@ -52,9 +53,7 @@ import numpy as np
 from . import network
 from .losses import PRESERVE_COL
 from .params import FlatTable, ModelParams, zeros_like
-
-# a window as scored: its token ids and the position of its first original word
-Window = tuple[tuple[int, ...], int]
+from .tokenizer import TokenizedExample
 
 # the size of the mapping each process shares with its helper, made once and
 # never grown: a memory file's untouched pages take no memory and no commit
@@ -65,13 +64,27 @@ Window = tuple[tuple[int, ...], int]
 _RESERVE, _SCARCE_RESERVE = 64 << 30, 64 << 20
 
 
-def _score(params: ModelParams, config, windows: list[Window], encode, classify) -> np.ndarray:
+def _score(params: ModelParams, config, windows: list[TokenizedExample], encode,
+           classify) -> np.ndarray:
     """Preserve probabilities of the windows' original words, one window
     after another, through the given ``encode`` and ``classify``."""
     return np.concatenate(
-        [classify(params, encode(params, config, ids))[boundary:, PRESERVE_COL]
-         for ids, boundary in windows]
+        [classify(params, encode(params, config, w.token_ids))[w.boundary :, PRESERVE_COL]
+         for w in windows]
     )
+
+
+def _backward(params: ModelParams, config, windows: list[TokenizedExample], loss_variant: str,
+              table: FlatTable, backward) -> tuple[list[float], np.ndarray]:
+    """Each window's loss and the preserve probabilities of their original
+    words, with their gradients summed into ``table`` through ``backward``,
+    all in window order."""
+    losses, preserve = [], []
+    for w in windows:
+        loss, _, probs = backward(params, config, w, loss_variant, table)
+        losses.append(loss)
+        preserve.append(probs[w.boundary :, PRESERVE_COL])
+    return losses, np.concatenate(preserve)
 
 
 def _padded(nbytes: int) -> int:
@@ -79,59 +92,52 @@ def _padded(nbytes: int) -> int:
     return -(-nbytes // 64) * 64
 
 
-def _gradient_reply(shared, at: int, table: FlatTable, examples) -> tuple:
-    """``(grads, losses, probs)``: views of the reply to a ``"grads"``
-    request from byte ``at`` of ``shared``. A gradient table of the layout
-    of ``table`` comes first, then each example's loss, then each one's
-    probabilities, in float64."""
-    grads = FlatTable(np.frombuffer(shared, table.flat.dtype, table.flat.size, at),
-                      {name: t.shape for name, t in table.items()})
-    lengths = [len(ex.token_ids) for ex in examples]
-    values = np.frombuffer(shared, np.float64, len(examples) + 2 * sum(lengths),
-                           at + _padded(grads.flat.nbytes))
-    probs = np.split(values[len(examples) :], 2 * np.cumsum(lengths)[:-1])
-    return grads, values[: len(examples)], [p.reshape(-1, 2) for p in probs]
+def _reply(shared, at: int, table: FlatTable | None, windows: list[TokenizedExample]) -> tuple:
+    """``(grads, losses, preserve)``: views of the reply about ``windows``
+    from byte ``at`` of ``shared``. A training reply, for a model laid out
+    as ``table``, starts with a gradient table of that layout, padded to 64
+    bytes, then each window's loss; a scoring reply has neither. Both then
+    hold the preserve probabilities of the windows' original words, in
+    window order, float64 like the losses."""
+    grads, n = None, 0
+    if table is not None:
+        grads = FlatTable(np.frombuffer(shared, table.flat.dtype, table.flat.size, at),
+                          {name: t.shape for name, t in table.items()})
+        at, n = at + _padded(grads.flat.nbytes), len(windows)
+    values = np.frombuffer(shared, np.float64, n + sum(len(w.labels) for w in windows), at)
+    return grads, values[:n], values[n:]
 
 
 def _serve(conn, parent_end, shared) -> None:
-    """The helper's loop, over ``shared``, the mapping it inherited. A
-    ``("model", config, dtype, shapes, reply_at)`` message sets the model
-    that later requests work with: the flat table at the mapping's start,
-    with replies at byte ``reply_at``. A ``("score", windows)`` request
-    gets the windows' float64 probabilities there. A ``("grads", examples,
-    loss_variant)`` one gets the sum of the examples' gradients, in order,
-    and each one's loss and probabilities (see ``_gradient_reply``). Each
-    request is answered with an empty message once its reply is written.
-    ``None`` or a closed pipe ends the loop. Any failure ends it too: the
-    parent then computes the share itself and meets the same error there,
-    if it is one."""
+    """The helper's loop, over ``shared``, the mapping it inherited. Each
+    request, ``((config, dtype, shapes, reply_at), windows, loss_variant)``,
+    names its model, the flat table at the mapping's start; it is scoring
+    if ``loss_variant`` is None, else training. Its reply (see ``_reply``)
+    is followed by an empty message. ``None`` or a closed pipe ends the
+    loop, and so does any failure: the parent then computes the share
+    itself and meets the same error there, if it is one."""
     parent_end.close()  # so the parent's exit closes the pipe and ends this loop
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
     gc.freeze()  # collections leave the pages shared with the parent alone
-    params = config = reply_at = None
     try:
         while (msg := conn.recv()) is not None:
-            if msg[0] == "model":
-                _, config, dtype, shapes, reply_at = msg
-                size = sum(math.prod(shape) for shape in shapes.values())
-                params = ModelParams(FlatTable(np.frombuffer(shared, dtype, size), shapes))
-            elif msg[0] == "score":
-                # the package's own ops: a tracer installed in the parent before
-                # the fork would only collect spans here that nobody reads
-                probs = _score(params, config, msg[1], network.encode, network.classify)
-                np.frombuffer(shared, np.float64, probs.size, reply_at)[...] = probs
-                conn.send_bytes(b"")
+            (config, dtype, shapes, reply_at), windows, loss_variant = msg
+            size = sum(math.prod(shape) for shape in shapes.values())
+            model = FlatTable(np.frombuffer(shared, dtype, size), shapes)
+            params = ModelParams(model)
+            # the package's own ops: a tracer installed in the parent before
+            # the fork would only collect spans here that nobody reads
+            if loss_variant is None:
+                preserve = _reply(shared, reply_at, None, windows)[2]
+                preserve[...] = _score(params, config, windows, network.encode, network.classify)
             else:
-                _, examples, loss_variant = msg
-                grads, losses, probs = _gradient_reply(shared, reply_at, params.tensors, examples)
+                grads, losses, preserve = _reply(shared, reply_at, model, windows)
                 grads.flat.fill(0)
                 # as in training: a non-finite loss is the caller's to report
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    for i, ex in enumerate(examples):
-                        loss, _, p = network.backward_detailed(params, config, ex, loss_variant,
-                                                               grads)
-                        losses[i], probs[i][...] = loss, p
-                conn.send_bytes(b"")
+                    losses[...], preserve[...] = _backward(params, config, windows, loss_variant,
+                                                           grads, network.backward_detailed)
+            conn.send_bytes(b"")
     except Exception:
         return
 
@@ -151,10 +157,8 @@ class _Helper:
 
         self.owner = os.getpid()
         # a weak reference to the params scoring copied into the mapping, and
-        # their config: None once anything else may have been written there
-        self.shipped: tuple[weakref.ref, object] | None = None
-        # where in the mapping the helper writes its replies
-        self.reply_at = 0
+        # their layout: None once anything else may have been written there
+        self.shipped: tuple[weakref.ref, tuple] | None = None
         self.alive = False
         unlimited = resource.RLIM_INFINITY
         scarce = resource.getrlimit(resource.RLIMIT_AS)[0] != unlimited
@@ -199,41 +203,37 @@ class _Helper:
             return False
 
     def load(self, shapes: dict[str, tuple[int, ...]], dtype: np.dtype, config,
-             reply_bytes: int) -> FlatTable | None:
-        """A table of the given shapes at the start of the mapping, which
-        the helper now takes as its model, with ``reply_bytes`` free from
-        ``reply_at`` on. None if they do not fit in the mapping, and, with
-        the helper stopped, if the helper is gone."""
+             reply_bytes: int) -> tuple[FlatTable, tuple] | None:
+        """A table of the given shapes at the start of the mapping, and the
+        layout that names it and ``config`` to the helper, with
+        ``reply_bytes`` free after it; None if they do not fit."""
         size = sum(math.prod(shape) for shape in shapes.values())
         reply_at = _padded(size * dtype.itemsize)
         if reply_at + reply_bytes > len(self.shared):
             return None
         self.shipped = None  # the caller writes the table over what was there
-        if not self.send(("model", config, dtype.str, shapes, reply_at)):
-            return None
-        self.reply_at = reply_at
-        return FlatTable(np.frombuffer(self.shared, dtype, size), shapes)
+        return (FlatTable(np.frombuffer(self.shared, dtype, size), shapes),
+                (config, dtype.str, shapes, reply_at))
 
-    def ship(self, params: ModelParams, config, reply_bytes: int) -> bool:
-        """Make ``params`` the helper's model, with ``reply_bytes`` free for
-        its reply, copying the tensors into the mapping unless they are
-        there already. False if the helper is gone, if the tensors and the
-        reply do not fit in the mapping, or if the tensors mix dtypes and so
-        make no one flat table."""
+    def ship(self, params: ModelParams, config, reply_bytes: int) -> tuple | None:
+        """``load``'s layout for ``params``, copying the tensors in unless
+        they are there already; None if they and the reply do not fit, or if
+        the tensors mix dtypes and so make no one flat table."""
         tensors = params.tensors
-        if (self.shipped is not None and self.shipped[0]() is params and self.shipped[1] == config
-                and len(self.shared) >= self.reply_at + reply_bytes):
-            return True
+        if (self.shipped is not None and self.shipped[0]() is params
+                and len(self.shared) >= self.shipped[1][3] + reply_bytes):
+            return (config, *self.shipped[1][1:])
         dtype = next(iter(tensors.values())).dtype
         if any(t.dtype != dtype for t in tensors.values()):
-            return False
-        table = self.load({k: t.shape for k, t in tensors.items()}, dtype, config, reply_bytes)
-        if table is None:
-            return False
+            return None
+        loaded = self.load({k: t.shape for k, t in tensors.items()}, dtype, config, reply_bytes)
+        if loaded is None:
+            return None
+        table, layout = loaded
         for name, t in table.items():
             t[...] = tensors[name]
-        self.shipped = (weakref.ref(params), config)
-        return True
+        self.shipped = (weakref.ref(params), layout)
+        return layout
 
     def done(self) -> bool:
         """Wait for the answer to the last request: True once its reply is
@@ -302,7 +302,7 @@ def _halfway(lengths: list[int]) -> int:
     return min(range(1, len(lengths)), key=lambda k: abs(2 * prefix[k - 1] - prefix[-1]))
 
 
-def score_windows(params: ModelParams, config, windows: list[Window], encode,
+def score_windows(params: ModelParams, config, windows: list[TokenizedExample], encode,
                   classify) -> np.ndarray:
     """Preserve probabilities of every window's original words,
     concatenated in window order; this process's share goes through
@@ -314,20 +314,20 @@ def score_windows(params: ModelParams, config, windows: list[Window], encode,
         helper = _usable_helper()
         if helper is None:
             return _score(params, config, windows, encode, classify)
-        cut = _halfway([len(ids) for ids, _ in windows])
-        n = sum(len(ids) - b for ids, b in windows[cut:])
-        sent = helper.ship(params, config, 8 * n) and helper.send(("score", windows[cut:]))
+        cut = _halfway([len(w.token_ids) for w in windows])
+        second = windows[cut:]
+        layout = helper.ship(params, config, 8 * sum(len(w.labels) for w in second))
+        sent = layout is not None and helper.send((layout, second, None))
         try:
             first = _score(params, config, windows[:cut], encode, classify)
         finally:
             # read the reply even if this share raised, so none is left queued
             done = sent and helper.done()
         if done:
-            return np.concatenate([first, np.frombuffer(helper.shared, np.float64, n,
-                                                        helper.reply_at)])
+            return np.concatenate([first, _reply(helper.shared, layout[3], None, second)[2]])
     finally:
         _helper_lock.release()
-    return np.concatenate([first, _score(params, config, windows[cut:], encode, classify)])
+    return np.concatenate([first, _score(params, config, second, encode, classify)])
 
 
 class TrainingRun:
@@ -348,25 +348,25 @@ class TrainingRun:
         self.helper = None
         size = sum(math.prod(shape) for shape in shapes.values())
         self.grads = FlatTable(np.zeros(size, dtype), shapes)
-        table = None
+        loaded = None
         if batch_size > 1 and _helper_lock.acquire(blocking=False):
-            # a batch's reply: its second share's table, then the losses and
-            # probabilities of at most batch_size - 1 windows of the longest
-            reply = _padded(self.grads.flat.nbytes) + 8 * (batch_size - 1) * (1 + 2 * longest)
+            # a batch's reply (see _reply): its second share's table, then the
+            # losses and probabilities of at most batch_size - 1 windows of the longest
+            reply = _padded(self.grads.flat.nbytes) + 8 * (batch_size - 1) * (1 + longest)
             try:
                 helper = _usable_helper()
-                table = helper.load(shapes, dtype, config, reply) if helper else None
+                loaded = helper.load(shapes, dtype, config, reply) if helper else None
             finally:
-                if table is None:
+                if loaded is None:
                     _helper_lock.release()
-        if table is None:
+        if loaded is None:
             self.params = ModelParams(FlatTable(np.empty(size, dtype), shapes))
             self.spare = zeros_like(self.grads)
         else:
+            table, self.layout = loaded
             self.helper, self.params = helper, ModelParams(table)
             # where the second share's gradients are summed: the reply's table
-            self.spare = FlatTable(np.frombuffer(helper.shared, dtype, size, helper.reply_at),
-                                   shapes)
+            self.spare = _reply(helper.shared, self.layout[3], table, [])[0]
 
     def __enter__(self) -> TrainingRun:
         return self
@@ -376,27 +376,20 @@ class TrainingRun:
             self.helper = None
             _helper_lock.release()
 
-    def gradients(self, batch, loss_variant: str, backward) -> list[tuple[float, np.ndarray]]:
-        """Each example's loss and probabilities, in batch order, with the
-        batch's gradient added into ``grads`` share by share, as the module
-        says. The helper sums the second share where there is one; this
-        process sums the rest through ``backward(params, config, example,
-        loss_variant, table)``."""
-
-        def serial(examples, table):
-            out = []
-            for ex in examples:
-                loss, _, probs = backward(self.params, self.config, ex, loss_variant, table)
-                out.append((loss, probs))
-            return out
-
+    def gradients(self, batch: list[TokenizedExample], loss_variant: str,
+                  backward) -> tuple[list[float], np.ndarray]:
+        """Each window's loss and the preserve probabilities of the batch's
+        original words, in batch order, with the batch's gradient added into
+        ``grads`` share by share, as the module says; this process's share
+        goes through ``backward(params, config, window, loss_variant, table)``."""
         if len(batch) < 2:
-            return serial(batch, self.grads)
-        cut = _halfway([len(ex.token_ids) for ex in batch])
+            return _backward(self.params, self.config, batch, loss_variant, self.grads, backward)
+        cut = _halfway([len(w.token_ids) for w in batch])
         helper, second = self.helper, batch[cut:]
-        sent = helper is not None and helper.send(("grads", second, loss_variant))
+        sent = helper is not None and helper.send((self.layout, second, loss_variant))
         try:
-            out = serial(batch[:cut], self.grads)
+            losses, first = _backward(self.params, self.config, batch[:cut], loss_variant,
+                                      self.grads, backward)
             done = sent and helper.done()
         except BaseException:
             if sent:
@@ -405,11 +398,12 @@ class TrainingRun:
                 helper.stop()
             raise
         if done:
-            _, losses, probs = _gradient_reply(helper.shared, helper.reply_at, self.grads, second)
-            # copied: the next batch's reply is written over them
-            out += [(float(loss), p.copy()) for loss, p in zip(losses, probs)]
+            _, more, rest = _reply(helper.shared, self.layout[3], self.grads, second)
+            more = more.tolist()
         else:
             self.spare.flat.fill(0)
-            out += serial(second, self.spare)
+            more, rest = _backward(self.params, self.config, second, loss_variant, self.spare,
+                                   backward)
         self.grads.flat += self.spare.flat
-        return out
+        # a copy: the next batch's reply is written over the helper's
+        return losses + more, np.concatenate([first, rest])
