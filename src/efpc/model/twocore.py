@@ -32,7 +32,8 @@ fit runs on one core.
 With one window or example, fewer than two usable CPUs, or no
 ``os.memfd_create``, nothing is forked. If the mapping cannot be made, or
 the helper cannot be forked, dies or fails, this process does that share
-itself and stays serial from then on.
+itself and stays serial from then on, as it does after an interrupt while
+it waits for the helper.
 """
 
 from __future__ import annotations
@@ -236,15 +237,18 @@ class _Helper:
         return layout
 
     def done(self) -> bool:
-        """Wait for the answer to the last request: True once its reply is
-        in the mapping, False, with the helper stopped, if the helper
-        failed."""
+        """Wait for the answer to the last request: True once its reply is in
+        the mapping, False if the helper failed. Failure and interruption
+        stop the helper: a reply left unread would be read as the next one."""
         try:
             self.conn.recv_bytes()
             return True
         except (EOFError, OSError):
             self.stop()
             return False
+        except BaseException:
+            self.stop()
+            raise
 
     def stop(self) -> None:
         """Ask the helper to exit and reap it, killing it after 1 s; the
@@ -390,14 +394,13 @@ class TrainingRun:
         try:
             losses, first = _backward(self.params, self.config, batch[:cut], loss_variant,
                                       self.grads, backward)
-            done = sent and helper.done()
         except BaseException:
             if sent:
                 # a reply left unread would be taken for the next batch's:
                 # the helper is not used again
                 helper.stop()
             raise
-        if done:
+        if sent and helper.done():
             _, more, rest = _reply(helper.shared, self.layout[3], self.grads, second)
             more = more.tolist()
         else:

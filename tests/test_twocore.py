@@ -410,6 +410,42 @@ def test_a_training_run_between_two_scorings_leaves_the_scored_model(monkeypatch
         twocore._helper.stop()
 
 
+def test_an_interrupt_while_waiting_for_the_helper_stops_it_and_later_calls_keep_the_bits(
+        monkeypatch):
+    # the interrupted call's reply is never read, so the helper cannot be
+    # asked again: a later call would take that reply for its own
+    data = _uneven_data()
+    model = _model(data)
+    words = [w for ex in data for w in ex.words[1:]]
+    originals = (words, words[:60], words[:30])
+    use_cpus(monkeypatch, 1)
+    want = [score_words(model, "alpha", original).tobytes() for original in originals]
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(twocore, "_helper", None)  # this test's own helper
+    try:
+        assert score_words(model, "alpha", originals[0]).tobytes() == want[0]
+        helper = twocore._helper
+        wait = helper.conn.recv_bytes
+        interrupted = []
+
+        def interrupt_once():
+            if not interrupted:
+                interrupted.append(1)
+                raise KeyboardInterrupt
+            return wait()
+
+        monkeypatch.setattr(helper.conn, "recv_bytes", interrupt_once)
+        with pytest.raises(KeyboardInterrupt):
+            score_words(model, "alpha", originals[0])
+        for original, bits in zip(originals[1:], want[1:]):
+            assert score_words(model, "alpha", original).tobytes() == bits
+        assert not helper.alive and twocore._helper is helper
+        with pytest.raises(ChildProcessError):  # reaped: not left a zombie
+            os.waitpid(helper.pid, os.WNOHANG)
+    finally:
+        twocore._helper.stop()
+
+
 def test_a_call_that_does_not_fit_the_mapping_runs_on_one_core_and_keeps_the_helper(monkeypatch):
     data = _uneven_data()
     model = _model(data)
