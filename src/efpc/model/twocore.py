@@ -29,11 +29,11 @@ model in only when the mapping does not hold it already; a
 parameters Adam updated in place. A call whose model and reply do not
 fit runs on one core.
 
-With one window or example, fewer than two usable CPUs, or no
-``os.memfd_create``, nothing is forked. If the mapping cannot be made, or
-the helper cannot be forked, dies or fails, this process does that share
-itself and stays serial from then on, as it does after an interrupt while
-it waits for the helper.
+With one window or example, fewer than two usable CPUs, BLAS on more than
+one thread (see ``efpc``), or no ``os.memfd_create``, nothing is forked.
+If the mapping cannot be made, or the helper cannot be forked, dies or
+fails, this process does that share itself and stays serial from then on,
+as it does after an interrupt while it waits for the helper.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .. import _blas_pinned
 from . import network
 from .losses import PRESERVE_COL
 from .params import FlatTable, ModelParams, zeros_like
@@ -281,13 +282,14 @@ _helper_lock = threading.Lock()
 
 def _usable_helper() -> _Helper | None:
     """This process's helper, forked on first use; None with fewer than two
-    usable CPUs, without ``os.memfd_create``, or once the helper has
-    failed. Call with _helper_lock held."""
+    usable CPUs, BLAS on more than one thread (see ``efpc``), no
+    ``os.memfd_create``, or once the helper has failed. Call with
+    _helper_lock held."""
     global _helper
     # sched_getaffinity and memfd_create are Linux-only; without them
     # everything stays on one core
-    if (not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
-            or not hasattr(os, "memfd_create")):
+    if (not _blas_pinned or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2 or not hasattr(os, "memfd_create")):
         return None
     if _helper is None or _helper.owner != os.getpid():
         if _helper is not None and _helper.alive:

@@ -529,6 +529,51 @@ if resource.{kind} == resource.RLIMIT_AS:
 """
 
 
+_NUMPY_FIRST = """
+import os
+{blas}
+import numpy
+from efpc.compressor import CompressionRequest, compress
+from efpc.model import train
+from helpers import fast_train_config, parity_examples, small_model
+
+data = parity_examples(8, 1, 20)
+model = small_model(data)
+request = CompressionRequest(" ".join(w for ex in data for w in ex.words[1:]), "alpha",
+                             keep_ratio=0.5)
+
+
+def calls():
+    trained, report = train(model, data, fast_train_config(epochs=1, batch_size=4))
+    return compress(model, request), report, [t.tobytes() for t in trained.params.tensors.values()]
+
+
+os.sched_getaffinity = lambda pid: {{0}}
+want = calls()
+forks = []
+fork = os.fork
+
+
+def counted():
+    forks.append(1)
+    return fork()
+
+
+os.fork = counted
+os.sched_getaffinity = lambda pid: {{0, 1}}
+assert calls() == want, "two CPUs changed the bits"
+assert len(forks) == {forks}, f"{{len(forks)}} forks, not {forks}"
+"""
+
+
+@pytest.mark.parametrize("blas, forks", [
+    ('os.environ.pop("OPENBLAS_NUM_THREADS", None); os.environ.pop("MKL_NUM_THREADS", None)', 0),
+    ('os.environ["OPENBLAS_NUM_THREADS"] = os.environ["MKL_NUM_THREADS"] = "1"', 1),
+], ids=["unpinned", "pinned"])
+def test_a_program_that_imports_numpy_first_uses_the_helper_only_with_blas_pinned(blas, forks):
+    _run_python(_NUMPY_FIRST.format(blas=blas, forks=forks))
+
+
 def _run_python(code: str) -> None:
     """Run ``code`` in a new interpreter that imports efpc and the test helpers."""
     here = Path(__file__).resolve().parent
