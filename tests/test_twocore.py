@@ -30,8 +30,8 @@ def _uneven_data() -> list[LabeledExample]:
             + parity_examples(2, 4, 20))
 
 
-def _model(data, dtype=np.float32):
-    model = small_model(data, embed_dim=16, num_layers=2, num_heads=2, ffn_dim=32)
+def _model(data, dtype=np.float32, num_layers=2):
+    model = small_model(data, embed_dim=16, num_layers=num_layers, num_heads=2, ffn_dim=32)
     # spread-out weights, so predictions differ from word to word
     tensors = {k: (t if "_gamma" in k else t * 20).astype(dtype)
                for k, t in model.params.tensors.items()}
@@ -406,6 +406,31 @@ def test_a_training_run_between_two_scorings_leaves_the_scored_model(monkeypatch
         # the helper scored the second share, with this model copied in again
         assert twocore._helper.alive and twocore._helper.shipped[0]() is model.params
         assert 0 < len(calls) < len(prepare_examples(model, data, "mask"))
+    finally:
+        twocore._helper.stop()
+
+
+def test_each_request_names_its_model_across_dtypes_layer_counts_and_a_training_run(monkeypatch):
+    data, other = _uneven_data(), parity_examples(8, 9, 14)
+    models = (_model(data), _model(data, np.float64, num_layers=3))
+    words = [w for ex in data for w in ex.words[1:]]
+    use_cpus(monkeypatch, 1)
+    want = []
+    for model in models:
+        calls = _counted(monkeypatch, "encode", compressor)
+        want.append((score_words(model, "alpha", words).tobytes(), len(calls)))
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(twocore, "_helper", None)  # this test's own helper
+    try:
+        for i in range(5):  # one model, the other, and again after a training run
+            if i == 2:
+                train(_model(other), other, fast_train_config(epochs=1, batch_size=4))
+            calls = _counted(monkeypatch, "encode", compressor)
+            bits, one_cpu_calls = want[i % 2]
+            assert score_words(models[i % 2], "alpha", words).tobytes() == bits
+            # the helper scored the second share
+            assert 0 < len(calls) < one_cpu_calls
+        assert twocore._helper.alive
     finally:
         twocore._helper.stop()
 
