@@ -1,10 +1,9 @@
 """Adam with bias correction, updating the caller's parameters and the
-state's moments in place and counting its ``step`` up. A gradient table
-that does not match the parameters is refused before anything is written.
-
-When the parameters, the gradients and both moments are FlatTables of one
-layout, the update runs over blocks of the flat arrays rather than tensor
-by tensor; every element goes through the same operations either way.
+state's moments in place and counting its ``step`` up. The parameters,
+the gradients and both moments are FlatTables of one layout, and the update
+runs over blocks of their flat arrays; every element goes through the same
+operations as it would tensor by tensor. A gradient table of another
+layout is refused before anything is written.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from ..errors import ShapeMismatch
 from .config import TrainConfig
-from .params import ModelParams, flat_of, zeros_like
+from .params import FlatTable, ModelParams, zeros_like
 
 # moment decay rates and the denominator's epsilon, fixed for every run
 BETA1 = 0.9
@@ -28,39 +27,31 @@ _BLOCK = 1 << 16
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: FlatTable
+    v: FlatTable
     step: int
 
 
 def init_adam(params: ModelParams) -> AdamState:
-    """Zero moments, flat where the parameters are."""
+    """Zero moments, laid out as the parameters."""
     return AdamState(m=zeros_like(params.tensors), v=zeros_like(params.tensors), step=0)
 
 
 def adam_step(
     params: ModelParams,
-    grads: dict[str, np.ndarray],
+    grads: FlatTable,
     state: AdamState,
     config: TrainConfig,
 ) -> None:
     """One update: m,v moment tracking, bias correction, epsilon outside
     the square root."""
-    if set(grads) != set(params.tensors):
-        raise ShapeMismatch("gradient table keys do not match parameters")
-    for name, theta in params.tensors.items():
-        if grads[name].shape != theta.shape:
-            raise ShapeMismatch(
-                f"{name}: gradient shape {grads[name].shape} != parameter shape {theta.shape}"
-            )
+    layout = list(params.tensors.shapes.items())
+    if not isinstance(grads, FlatTable) or list(grads.shapes.items()) != layout:
+        raise ShapeMismatch("the gradient table is not laid out as the parameters")
     state.step += 1
-    tables = (params.tensors, grads, state.m, state.v)
-    flats = [flat_of(t) for t in tables]
-    if all(f is not None and list(t) == list(params.tensors) for f, t in zip(flats, tables)):
-        groups = [[f[lo : lo + _BLOCK] for f in flats] for lo in range(0, flats[0].size, _BLOCK)]
-    else:
-        groups = [[t[name] for t in tables] for name in params.tensors]
-    for theta, g, m, v in groups:
+    flats = [t.flat for t in (params.tensors, grads, state.m, state.v)]
+    for lo in range(0, flats[0].size, _BLOCK):
+        theta, g, m, v = (f[lo : lo + _BLOCK] for f in flats)
         # m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*g*g,
         # theta -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps): their
         # operations in their order, so their bits, in the parameter dtype
@@ -78,4 +69,4 @@ def adam_step(
         scratch *= config.learning_rate
         scratch /= denom
         theta -= scratch
-        del scratch, denom  # freed before the next group's are made
+        del scratch, denom  # freed before the next block's are made

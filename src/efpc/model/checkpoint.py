@@ -75,17 +75,21 @@ def load_checkpoint(path) -> Model:
 
     pos = len(MAGIC)
 
-    def take(n: int) -> bytes:
+    # pieces are views of the file's bytes: the tensors are copied once, into
+    # the model's flat table
+    view = memoryview(blob)
+
+    def take(n: int) -> memoryview:
         nonlocal pos
         if pos + n > len(blob) - _U32.size:
             raise ChecksumMismatch(f"{path}: unexpected end of data")
-        piece = blob[pos : pos + n]
+        piece = view[pos : pos + n]
         pos += n
         return piece
 
     (header_len,) = _U32.unpack(take(_U32.size))
     try:
-        header = json.loads(take(header_len).decode("utf-8"))
+        header = json.loads(str(take(header_len), "utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long a number
         raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
     if not isinstance(header, dict):
@@ -135,7 +139,7 @@ def load_checkpoint(path) -> Model:
                 f"{path}: tensor {name} holds {arr.size} values, "
                 f"expected {math.prod(expected)}"
             )
-        tensors[name] = arr.reshape(expected).astype(np.float32)
+        tensors[name] = arr.reshape(expected)
     if pos != len(blob) - _U32.size:
         raise CheckpointError(f"{path}: trailing bytes after tensor data")
 

@@ -38,7 +38,7 @@ import numpy as np
 from ..errors import SequenceTooLong
 from .config import ModelConfig, TrainConfig
 from .losses import ce_loss_and_grad
-from .params import LAYER_TENSORS, ModelParams
+from .params import LAYER_TENSORS, FlatTable, ModelParams, zeros_like
 from .tokenizer import TokenizedExample
 
 _LN_EPS = 1e-5
@@ -265,17 +265,14 @@ def classify(params: ModelParams, h: np.ndarray) -> np.ndarray:
     return _softmax_rows(logits)
 
 
-def add_embedding_gradient(grads: dict[str, np.ndarray], ids: np.ndarray, dx: np.ndarray) -> None:
+def add_embedding_gradient(grads: FlatTable, ids: np.ndarray, dx: np.ndarray) -> None:
     """Add the gradient ``dx`` of the summed token and position embeddings
-    into ``grads``. The token rows are scattered through the flat table, one
-    index per element: the adds of ``np.add.at(token_emb, ids, dx)`` in the
-    same order, in about half the time."""
+    into ``grads``. The token rows are scattered through their contiguous
+    view, one index per element: the adds of ``np.add.at(token_emb, ids,
+    dx)`` in the same order, in about half the time."""
     emb = grads["token_emb"]
-    if emb.flags.c_contiguous:
-        d = emb.shape[1]
-        np.add.at(emb.reshape(-1), (ids[:, None] * d + np.arange(d)).reshape(-1), dx.reshape(-1))
-    else:
-        np.add.at(emb, ids, dx)
+    d = emb.shape[1]
+    np.add.at(emb.reshape(-1), (ids[:, None] * d + np.arange(d)).reshape(-1), dx.reshape(-1))
     grads["pos_emb"][: ids.size] += dx
 
 
@@ -284,14 +281,14 @@ def backward_detailed(
     config: ModelConfig,
     example: TokenizedExample,
     loss_variant: str = TrainConfig.loss_variant,
-    grads: dict[str, np.ndarray] | None = None,
-) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+    grads: FlatTable | None = None,
+) -> tuple[float, FlatTable, np.ndarray]:
     """Loss, its exact gradient for every parameter tensor, and the
     per-position probabilities of the same pass.
 
     The gradient is added into ``grads``, which is returned; without one,
-    a zero table is made. Passing the returned table back in sums the
-    gradients of several examples.
+    a zero table laid out as the parameters is made. Passing the returned
+    table back in sums the gradients of several examples.
     """
     ids, h = _embed(params, config, example.token_ids)
     caches = []
@@ -299,7 +296,7 @@ def backward_detailed(
         h, cache = _block(h, params, i, config.num_heads)
         caches.append(cache)
     if grads is None:
-        grads = {k: np.zeros_like(t) for k, t in params.tensors.items()}
+        grads = zeros_like(params.tensors)
 
     probs = classify(params, h)
     loss, dlogits = ce_loss_and_grad(loss_variant, probs, example.labels, example.boundary)

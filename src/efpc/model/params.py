@@ -1,4 +1,5 @@
-"""Parameter tensors for the encoder, kept in one name-keyed table.
+"""Parameter tensors for the encoder: named views of one flat array of one
+dtype.
 
 The key order of :func:`tensor_shapes` is the storage order of the
 checkpoint format and must not change between releases.
@@ -7,7 +8,7 @@ checkpoint format and must not change between releases.
 from __future__ import annotations
 
 import math
-import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,61 +54,89 @@ def tensor_count(config: ModelConfig) -> int:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All trainable tensors, keyed by the names of tensor_shapes."""
+    """All trainable tensors, keyed by the names of tensor_shapes, as one
+    FlatTable. A FlatTable is held as it is; any other mapping of arrays is
+    copied into a new one, in its order, and ShapeMismatch is raised unless
+    they all have one dtype."""
 
-    tensors: dict[str, np.ndarray]
+    tensors: FlatTable
+
+    def __post_init__(self):
+        tensors = self.tensors
+        if not isinstance(tensors, FlatTable):
+            if len({t.dtype for t in tensors.values()}) > 1:
+                raise ShapeMismatch("parameter tensors must all have one dtype")
+            flat = np.concatenate([t.reshape(-1) for t in tensors.values()])
+            shapes = {name: t.shape for name, t in tensors.items()}
+            object.__setattr__(self, "tensors", FlatTable(flat, shapes))
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
     def parameter_count(self) -> int:
-        return sum(v.size for v in self.tensors.values())
+        return self.tensors.flat.size
 
 
-class FlatTable(dict):
-    """Tensors that are consecutive views of one 1-d array, ``flat``, in
-    key order, so that element-wise work can run once over all of them."""
+class FlatTable(Mapping):
+    """Named tensors that are consecutive views of one 1-d array, ``flat``,
+    in key order, so that element-wise work runs once over all of them.
+
+    Assigning to a name writes into its view, and a value of another shape
+    is refused; no name is ever rebound, so ``flat`` always holds every
+    tensor. ``table[name] += g`` hands the view itself back and copies
+    nothing."""
 
     def __init__(self, flat: np.ndarray, shapes: dict[str, tuple[int, ...]]):
-        super().__init__()
+        self._tensors: dict[str, np.ndarray] = {}
         at = 0
         for name, shape in shapes.items():
             size = math.prod(shape)
-            self[name] = flat[at : at + size].reshape(shape)
+            self._tensors[name] = flat[at : at + size].reshape(shape)
             at += size
         self.flat = flat[:at]
-        self._views = tuple(self.values())
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._tensors[name]
+
+    def __setitem__(self, name: str, value: np.ndarray) -> None:
+        view = self._tensors[name]
+        if value is not view:
+            if np.shape(value) != view.shape:
+                raise ShapeMismatch(f"{name}: shape {np.shape(value)}, expected {view.shape}")
+            view[...] = value
+
+    def __iter__(self):
+        return iter(self._tensors)
+
+    def __len__(self) -> int:
+        return len(self._tensors)
+
+    @property
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return {name: t.shape for name, t in self._tensors.items()}
+
+    def non_finite(self) -> str | None:
+        """The first tensor that holds a non-finite value, if any."""
+        if np.isfinite(self.flat).all():
+            return None
+        return next(name for name, t in self._tensors.items() if not np.isfinite(t).all())
 
 
-def flat_of(table: dict[str, np.ndarray]) -> np.ndarray | None:
-    """``table.flat`` if ``table`` is a FlatTable that still holds its own
-    views, else None."""
-    views = getattr(table, "_views", None)
-    if views is None or len(views) != len(table):
-        return None
-    return table.flat if all(map(operator.is_, views, table.values())) else None
-
-
-def zeros_like(table: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """A table of zeros shaped like ``table``, flat where ``table`` is."""
-    flat = flat_of(table)
-    if flat is None:
-        return {k: np.zeros_like(t) for k, t in table.items()}
-    return FlatTable(np.zeros_like(flat), {k: t.shape for k, t in table.items()})
+def zeros_like(table: FlatTable) -> FlatTable:
+    """A table of zeros laid out as ``table``."""
+    return FlatTable(np.zeros_like(table.flat), table.shapes)
 
 
 def init_params(config: ModelConfig, dtype=np.float32) -> ModelParams:
     """Gaussian init (std 0.02) for projections/embeddings, identity LN."""
     rng = np.random.default_rng(config.seed)
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in tensor_shapes(config).items():
+    shapes = tensor_shapes(config)
+    tensors = FlatTable(np.zeros(sum(map(math.prod, shapes.values())), dtype), shapes)
+    for name, t in tensors.items():
         if name.endswith(("ln1_gamma", "ln2_gamma")):
-            arr = np.ones(shape)
-        elif name.endswith(("ln1_beta", "ln2_beta")) or name == "cls_b":
-            arr = np.zeros(shape)
-        else:
-            arr = rng.normal(0.0, 0.02, shape)
-        tensors[name] = arr.astype(dtype)
+            t[...] = 1
+        elif not name.endswith(("ln1_beta", "ln2_beta")) and name != "cls_b":
+            t[...] = rng.normal(0.0, 0.02, t.shape)
     return ModelParams(tensors)
 
 
@@ -117,8 +146,7 @@ def validate_params(params: ModelParams, config: ModelConfig) -> None:
     if set(params.tensors) != set(shapes):
         raise ShapeMismatch("parameter table does not match the configuration")
     for name, shape in shapes.items():
-        arr = params.tensors[name]
-        if arr.shape != shape:
-            raise ShapeMismatch(f"{name}: expected shape {shape}, found {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ShapeMismatch(f"{name}: contains non-finite values")
+        if params[name].shape != shape:
+            raise ShapeMismatch(f"{name}: expected shape {shape}, found {params[name].shape}")
+    if (name := params.tensors.non_finite()) is not None:
+        raise ShapeMismatch(f"{name}: contains non-finite values")

@@ -7,13 +7,13 @@ parameter dtype. A batch of two or more windows is split into two shares
 of about equal token counts; each share's gradients are summed in index
 order into a table of their own, and the second table is added into the
 first (see ``twocore``). With two usable CPUs a helper process sums the
-second share; without, this process does. A run keeps its parameters,
-its gradient table and Adam's moments as flat tables of one layout
-(``FlatTable``), so the per-batch checks, the averaging, the Adam step
-and the zeroing run once over all the tensors; each element goes through
-the same operations as it would tensor by tensor. Two runs with the same
-model, data, and config produce identical parameters and reports, on one
-core or on two.
+second share; without, this process does. Like every model, a run keeps
+its parameters, its gradient table and Adam's moments as flat tables of
+one layout (``FlatTable``), so the per-batch checks, the averaging, the
+Adam step and the zeroing run once over all the tensors; each element
+goes through the same operations as it would tensor by tensor. Two runs
+with the same model, data, and config produce identical parameters and
+reports, on one core or on two.
 
 A run trains only the ``token_emb`` rows its examples use, renumbered
 in id order. Adam leaves a row with zero gradient and zero moments exactly
@@ -22,8 +22,7 @@ the rows the data uses rather than the vocabulary size.
 
 Training stops with NumericalDivergence at the first example whose loss,
 or batch whose gradient or stepped parameters, is not finite, rather than
-carrying NaNs on to the end. A model whose tensors do not all have one
-dtype is refused with ShapeMismatch before training starts.
+carrying NaNs on to the end.
 
 Incremental training is just calling train() on a loaded model; joint
 training is calling it on the concatenation of the datasets.
@@ -40,13 +39,13 @@ from typing import Sequence
 import numpy as np
 
 from ..align import LabeledExample
-from ..errors import EmptyDataset, NumericalDivergence, ShapeMismatch
+from ..errors import EmptyDataset, NumericalDivergence
 from . import twocore
 from .adam import adam_step, init_adam
 from .bundle import Model
 from .config import TrainConfig
 from .network import backward_detailed, classify, encode
-from .params import FlatTable, ModelParams
+from .params import ModelParams
 from .tokenizer import TokenizedExample, window_example
 
 logger = logging.getLogger(__name__)
@@ -118,18 +117,13 @@ def train(
         for ex in examples
     ]
     emb = model.params["token_emb"]
-    if any(t.dtype != emb.dtype for t in model.params.tensors.values()):
-        raise ShapeMismatch("parameter tensors must all have one dtype")
-    shapes = {k: (rows.size, *emb.shape[1:]) if k == "token_emb" else t.shape
-              for k, t in model.params.tensors.items()}
+    shapes = {**model.params.tensors.shapes, "token_emb": (rows.size, *emb.shape[1:])}
     longest = max(len(ex.token_ids) for ex in examples)
     stats: list[EpochStats] = []
 
     # the helper's reply is sized for a batch, and no batch holds more than every example
     with twocore.TrainingRun(shapes, emb.dtype, model.config, longest,
                              min(config.batch_size, len(examples))) as run:
-        # flat tables: the checks, the averaging, Adam and the zeroing after
-        # each step run once over all the tensors
         params, grads = run.params, run.grads
         for k, t in params.tensors.items():
             if k == "token_emb":
@@ -154,11 +148,11 @@ def train(
                 c, t = _batch_accuracy(preserve, np.concatenate([ex.labels for ex in batch]))
                 correct += c
                 total += t
-                if (name := _non_finite(grads)) is not None:
+                if (name := grads.non_finite()) is not None:
                     raise NumericalDivergence(f"{where}: {name} gradient is not finite")
                 grads.flat /= len(batch)
                 adam_step(params, grads, state, config)
-                if (name := _non_finite(params.tensors)) is not None:
+                if (name := params.tensors.non_finite()) is not None:
                     raise NumericalDivergence(f"{where}: {name} is not finite after the step")
                 grads.flat.fill(0)
             stats.append(
@@ -173,19 +167,9 @@ def train(
             )
 
         # copied out before the run ends: the next run writes over its tables
-        emb = emb.copy()
-        emb[rows] = params["token_emb"]
-        trained = ModelParams(
-            {k: emb if k == "token_emb" else t.copy() for k, t in params.tensors.items()}
-        )
+        trained = ModelParams({**params.tensors, "token_emb": emb})
+        trained["token_emb"][rows] = params["token_emb"]
     return replace(model, params=trained), TrainReport(epochs=tuple(stats))
-
-
-def _non_finite(table: FlatTable) -> str | None:
-    """The first tensor of the flat table that holds a non-finite value, if any."""
-    if np.isfinite(table.flat).all():
-        return None
-    return next(k for k, t in table.items() if not np.isfinite(t).all())
 
 
 def token_accuracy(

@@ -104,7 +104,7 @@ def _reply(shared, at: int, table: FlatTable | None, windows: list[TokenizedExam
     grads, n = None, 0
     if table is not None:
         grads = FlatTable(np.frombuffer(shared, table.flat.dtype, table.flat.size, at),
-                          {name: t.shape for name, t in table.items()})
+                          table.shapes)
         at, n = at + _padded(grads.flat.nbytes), len(windows)
     values = np.frombuffer(shared, np.float64, n + sum(len(w.labels) for w in windows), at)
     return grads, values[:n], values[n:]
@@ -218,22 +218,16 @@ class _Helper:
                 (config, dtype.str, shapes, reply_at))
 
     def ship(self, params: ModelParams, config, reply_bytes: int) -> tuple | None:
-        """``load``'s layout for ``params``, copying the tensors in unless
-        they are there already; None if they and the reply do not fit, or if
-        the tensors mix dtypes and so make no one flat table."""
-        tensors = params.tensors
+        """``load``'s layout for ``params``, copying their flat table in
+        unless it is there already; None if it and the reply do not fit."""
         if (self.shipped is not None and self.shipped[0]() is params
                 and len(self.shared) >= self.shipped[1][3] + reply_bytes):
             return (config, *self.shipped[1][1:])
-        dtype = next(iter(tensors.values())).dtype
-        if any(t.dtype != dtype for t in tensors.values()):
-            return None
-        loaded = self.load({k: t.shape for k, t in tensors.items()}, dtype, config, reply_bytes)
+        loaded = self.load(params.tensors.shapes, params.tensors.flat.dtype, config, reply_bytes)
         if loaded is None:
             return None
         table, layout = loaded
-        for name, t in table.items():
-            t[...] = tensors[name]
+        table.flat[...] = params.tensors.flat
         self.shipped = (weakref.ref(params), layout)
         return layout
 
@@ -340,7 +334,7 @@ class TrainingRun:
     """One training run's tables, and the helper that works on the second
     share of each of its batches.
 
-    ``params`` is a FlatTable of the given shapes, whose embeddings come
+    ``params`` holds a FlatTable of the given shapes, whose embeddings come
     first; ``grads`` is a zero FlatTable of the same layout. With a usable
     helper, the parameters sit at the start of the shared mapping, and the
     run holds the helper from ``__enter__`` to ``__exit__``; otherwise

@@ -148,10 +148,6 @@ def forward_loss(
     return ce_loss_and_grad(loss_variant, probs, example.labels, example.boundary)[0]
 
 
-def zeros_like_params(params: ModelParams) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.tensors.items()}
-
-
 def record_score_bounds(monkeypatch, bounds: list) -> None:
     """Append the score bound of every attention call to ``bounds``; the
     call takes the row-max shift where it exceeds ``network._SHIFT_BOUND``."""

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import struct
 import zlib
 from dataclasses import asdict
@@ -10,7 +12,16 @@ from hypothesis import strategies as st
 
 from efpc.align import LabeledExample
 from efpc.errors import CheckpointError, ChecksumMismatch, FormatVersionMismatch
-from efpc.model import MAGIC, ModelConfig, load_checkpoint, save_checkpoint, train
+from efpc.model import (
+    MAGIC,
+    Model,
+    ModelConfig,
+    ModelParams,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+    vocab_from_words,
+)
 from efpc.model.params import tensor_count, tensor_shapes
 from efpc.text_core import normalize_word
 
@@ -41,6 +52,35 @@ def test_save_is_deterministic(trained_model, tmp_path):
     save_checkpoint(trained_model, a)
     save_checkpoint(trained_model, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _arange_model() -> Model:
+    """A tiny model whose tensors are filled from ``np.arange``, no RNG."""
+    vocab = vocab_from_words(("ant", "bee", "cow"))
+    config = ModelConfig(vocab_size=vocab.size, embed_dim=4, num_layers=2, num_heads=2,
+                         ffn_dim=8, max_seq_len=8, seed=0)
+    tensors = {name: np.arange(math.prod(shape), dtype=np.float32).reshape(shape) / 8 - i
+               for i, (name, shape) in enumerate(tensor_shapes(config).items())}
+    return Model(config=config, vocab=vocab, params=ModelParams(tensors))
+
+
+# the sha256 of _arange_model's checkpoint as the format was first pinned:
+# a change to these bytes is a change to the file format
+ARANGE_CHECKPOINT_SHA256 = "345ef10bca0096027c451e050638953207ce59d62f5ebf0943acb352280db65d"
+
+
+def test_checkpoint_bytes_are_pinned_across_releases(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(_arange_model(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ARANGE_CHECKPOINT_SHA256
+
+
+def test_a_loaded_checkpoint_saves_to_the_same_bytes(trained_model, tmp_path):
+    for i, model in enumerate((trained_model, _arange_model())):
+        first, second = tmp_path / f"first{i}.ckpt", tmp_path / f"second{i}.ckpt"
+        save_checkpoint(model, first)
+        save_checkpoint(load_checkpoint(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 def test_file_starts_with_magic(trained_model, tmp_path):

@@ -231,15 +231,12 @@ def test_result_record_shape(model):
 
 
 def _random_model(dtype):
-    """A model with spread-out, context-dependent scores: 16-token windows.
-    A ``"mixed"`` one keeps its head in float64 and the rest in float32."""
+    """A model with spread-out, context-dependent scores: 16-token windows."""
     vocab = vocab_from_words(PARITY_POOL)
     config = ModelConfig(vocab_size=vocab.size, embed_dim=16, num_layers=2, num_heads=2,
                          ffn_dim=32, max_seq_len=16, seed=3)
-    params = init_params(config, np.float32 if dtype == "mixed" else dtype)
+    params = init_params(config, dtype)
     tensors = {k: t if "_gamma" in k else t * t.dtype.type(40) for k, t in params.tensors.items()}
-    if dtype == "mixed":
-        tensors.update((k, tensors[k].astype(np.float64)) for k in ("cls_w", "cls_b"))
     return Model(config=config, vocab=vocab, params=ModelParams(tensors))
 
 
@@ -248,7 +245,7 @@ def _text(n: int, seed: int) -> str:
     return " ".join(rng.choice(PARITY_POOL) for _ in range(n))
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64, "mixed"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_helper_scores_a_document_bit_identically_to_the_serial_path(monkeypatch, dtype):
     model = _random_model(dtype)
     instruction, original = "amber basalt", split_words(_text(50, 1))
@@ -259,10 +256,9 @@ def test_helper_scores_a_document_bit_identically_to_the_serial_path(monkeypatch
     serial_result = compress(model, request)
     use_cpus(monkeypatch, 2)
     helped = score_words(model, instruction, original)
-    # the helper holds this model, so it scored the second share; tensors of
-    # mixed dtypes make no one flat table, so that model scores on one core
+    # the helper holds this model, so it scored the second share
     held = twocore._helper.shipped is not None and twocore._helper.shipped[0]() is model.params
-    assert twocore._helper.alive and held == (dtype != "mixed")
+    assert twocore._helper.alive and held
     assert helped.dtype == np.float64
     assert np.array_equal(helped, serial)
     assert compress(model, request) == serial_result

@@ -29,7 +29,7 @@ from efpc.model import (
     prepare_examples,
     train,
 )
-from efpc.model import training
+from efpc.model import adam, training
 from efpc.model.adam import BETA1, BETA2, EPSILON
 from efpc.model.network import (
     _attention,
@@ -39,6 +39,7 @@ from efpc.model.network import (
     _layer_norm,
     _softmax_rows,
 )
+from efpc.model.params import zeros_like
 
 RNG = np.random.default_rng(0)
 
@@ -207,12 +208,17 @@ CFG = ModelConfig(vocab_size=20, embed_dim=8, num_layers=1, num_heads=2,
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_adam_step_is_bit_identical(dtype):
+@pytest.mark.parametrize("block", [7, adam._BLOCK])
+def test_adam_step_is_bit_identical(monkeypatch, block, dtype):
+    # blocks of 7 elements straddle every tensor boundary
+    monkeypatch.setattr(adam, "_BLOCK", block)
     params = init_params(CFG, dtype=dtype)
     config = TrainConfig(learning_rate=1e-3)
     state = init_adam(params)
     for _ in range(3):
-        grads = {k: RNG.standard_normal(t.shape).astype(dtype) for k, t in params.tensors.items()}
+        grads = zeros_like(params.tensors)
+        for g in grads.values():
+            g[...] = RNG.standard_normal(g.shape)
         # the reference builds fresh tables, so it runs first, on the
         # tables the in-place step then overwrites
         expected = _old_adam_step(params, grads, state, config)
@@ -220,13 +226,14 @@ def test_adam_step_is_bit_identical(dtype):
         for name in params.tensors:
             assert params[name].dtype == dtype
             for got, want in zip((params[name], state.m[name], state.v[name]), expected):
-                assert np.array_equal(got, want[name])
+                assert got.tobytes() == want[name].tobytes(), name
 
 
 def test_adam_step_leaves_the_gradient_table_unmodified():
     params = init_params(CFG, dtype=np.float32)
     config = TrainConfig(learning_rate=1e-2)
-    grads = {k: np.ones_like(t) for k, t in params.tensors.items()}
+    grads = zeros_like(params.tensors)
+    grads.flat.fill(1.0)
     state = init_adam(params)
     adam_step(params, grads, state, config)
     adam_step(params, grads, state, config)
@@ -238,21 +245,24 @@ def test_adam_step_holds_no_memory_after_it_returns():
     # the default model's shapes with a 3000-word vocabulary, in float32
     config = ModelConfig(vocab_size=3000)
     params = init_params(config)
-    grads = {k: RNG.standard_normal(t.shape).astype(t.dtype) for k, t in params.tensors.items()}
+    grads = zeros_like(params.tensors)
+    for g in grads.values():
+        g[...] = RNG.standard_normal(g.shape)
     state = init_adam(params)
     train_config = TrainConfig(learning_rate=1e-3)
     # one step outside the trace, so numpy's one-time set-up is not counted
     adam_step(params, grads, state, train_config)
-    largest = max(t.nbytes for t in params.tensors.values())
+    block = adam._BLOCK * params.tensors.flat.itemsize
+    assert params.tensors.flat.nbytes > 2 * block
     tracemalloc.start()
     try:
         returned = adam_step(params, grads, state, train_config)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # two temporaries the size of one tensor at a time, and nothing kept
+    # two temporaries the size of one block at a time, and nothing kept
     assert current < 4096, current
-    assert peak <= 2 * largest + 4096, (peak, largest)
+    assert peak <= 2 * block + 4096, (peak, block)
     assert returned is None
 
 

@@ -21,6 +21,7 @@ from efpc.model import (
     vocab_from_words,
 )
 from efpc.model import network
+from efpc.model.params import FlatTable
 
 from helpers import forward_loss, record_score_bounds
 
@@ -318,8 +319,8 @@ def test_float32_model_matches_float64(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from([np.float32, np.float64]), st.booleans(), st.data())
-def test_the_embedding_scatter_gives_the_bytes_of_a_row_scatter(dtype, c_order, data):
+@given(st.sampled_from([np.float32, np.float64]), st.data())
+def test_the_embedding_scatter_gives_the_bytes_of_a_row_scatter(dtype, data):
     rows = data.draw(st.integers(1, 6))  # few rows, so ids repeat
     width = data.draw(st.integers(1, 8))
     n = data.draw(st.integers(1, CFG.max_seq_len))
@@ -329,12 +330,13 @@ def test_the_embedding_scatter_gives_the_bytes_of_a_row_scatter(dtype, c_order, 
     start = (rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-6, 7, (rows, width)))
     dx = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-6, 7, (n, width))
     start, dx = start.astype(dtype), dx.astype(dtype)
-    grads = {"token_emb": np.array(start, order="C" if c_order else "F"),
-             "pos_emb": np.zeros((CFG.max_seq_len, width), dtype)}
+    grads = FlatTable(np.zeros(rows * width + CFG.max_seq_len * width, dtype),
+                      {"token_emb": (rows, width), "pos_emb": (CFG.max_seq_len, width)})
+    grads["token_emb"] = start
     network.add_embedding_gradient(grads, ids, dx)
     want = start.copy()
     np.add.at(want, ids, dx)
     assert grads["token_emb"].dtype == dtype
-    assert np.ascontiguousarray(grads["token_emb"]).tobytes() == want.tobytes()
+    assert grads["token_emb"].tobytes() == want.tobytes()
     assert grads["pos_emb"][:n].tobytes() == dx.tobytes()
     assert not grads["pos_emb"][n:].any()

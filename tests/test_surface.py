@@ -2,7 +2,9 @@
 holds only names that some file of the project imports through
 ``efpc.model``, so it cannot grow back into a second API surface nobody
 reads; the third-party imports in ``src`` are exactly the declared
-dependencies; and importing the CLI loads no HTTP or TLS machinery."""
+dependencies; no module builds a second parameter or gradient table beside
+the model's one flat table; and importing the CLI loads no HTTP or TLS
+machinery."""
 
 import ast
 import os
@@ -56,6 +58,26 @@ def test_model_package_reexports_only_names_imported_through_it():
     unused = _reexports() - _names_imported_through_model()
     assert not unused, f"efpc/model/__init__.py re-exports names nothing imports: {sorted(unused)}"
 
+
+
+def _dict_comprehensions_over_tensors() -> list[str]:
+    """``file:line`` of every dict comprehension in ``src`` that iterates
+    over some ``.tensors``."""
+    found = []
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.DictComp) and any(
+                isinstance(n, ast.Attribute) and n.attr == "tensors"
+                for gen in node.generators for n in ast.walk(gen.iter)
+            ):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_no_module_builds_a_table_of_separate_arrays_from_a_models_tensors():
+    # every parameter and gradient table is a FlatTable (zeros_like makes one
+    # laid out as another); a dict built from .tensors would be a second kind
+    assert not _dict_comprehensions_over_tensors()
 
 
 def _third_party_imports() -> set[str]:

@@ -24,6 +24,7 @@ from efpc.model import (
     twocore,
     vocab_from_words,
 )
+from efpc.model.params import zeros_like
 
 from helpers import (
     fast_train_config,
@@ -212,10 +213,10 @@ def _dense_train(model, dataset, config):
         loss_sum = 0.0
         for lo in range(0, len(order), config.batch_size):
             batch = [examples[i] for i in order[lo : lo + config.batch_size]]
-            grads = {k: np.zeros_like(t) for k, t in params.tensors.items()}
+            grads = zeros_like(params.tensors)
             # a batch of two or more windows sums as two shares, the second in
             # a table of its own that is added in once
-            second = {k: np.zeros_like(t) for k, t in params.tensors.items()}
+            second = zeros_like(params.tensors)
             cut = twocore._halfway([len(ex.token_ids) for ex in batch]) if len(batch) > 1 else 1
             for ex in batch[:cut]:
                 loss_sum += backward_detailed(params, model.config, ex, config.loss_variant,
@@ -318,9 +319,8 @@ def test_adam_sees_only_the_embedding_rows_the_data_touches(monkeypatch):
 
 
 def test_a_model_whose_tensors_mix_dtypes_is_refused():
-    # a run's tables are flat arrays of one dtype
+    # every model is one flat array of one dtype
     data = parity_examples(4, 1)
     model = small_model(data, embed_dim=16, num_layers=1, num_heads=2, ffn_dim=32)
-    mixed = ModelParams({**model.params.tensors, "cls_b": model.params["cls_b"].astype(np.float64)})
     with pytest.raises(ShapeMismatch, match="^parameter tensors must all have one dtype$"):
-        train(replace(model, params=mixed), data, fast_train_config(epochs=1))
+        ModelParams({**model.params.tensors, "cls_b": model.params["cls_b"].astype(np.float64)})
