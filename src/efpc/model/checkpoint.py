@@ -57,7 +57,7 @@ def save_checkpoint(model: Model, path) -> None:
         data = np.ascontiguousarray(model.params[name], dtype="<f4").tobytes()
         blob += _U32.pack(len(data))
         blob += data
-    blob += _U32.pack(zlib.crc32(bytes(blob)))
+    blob += _U32.pack(zlib.crc32(blob))
     write_atomic(path, blob)
 
 
@@ -70,14 +70,13 @@ def load_checkpoint(path) -> Model:
         blob = fh.read()
     if len(blob) < len(MAGIC) + _U32.size or not blob.startswith(MAGIC):
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    if zlib.crc32(blob[: -_U32.size]) != _U32.unpack(blob[-_U32.size :])[0]:
+    # the checksum and the pieces read views of the file's bytes: the tensors
+    # are copied once, into the model's flat table
+    view = memoryview(blob)
+    if zlib.crc32(view[: -_U32.size]) != _U32.unpack(blob[-_U32.size :])[0]:
         raise ChecksumMismatch(f"{path}: checksum mismatch (file truncated or corrupt)")
 
     pos = len(MAGIC)
-
-    # pieces are views of the file's bytes: the tensors are copied once, into
-    # the model's flat table
-    view = memoryview(blob)
 
     def take(n: int) -> memoryview:
         nonlocal pos

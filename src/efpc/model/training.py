@@ -3,17 +3,18 @@
 Deterministic by construction: example order is shuffled by a seeded RNG,
 each batch's gradient is summed by one fixed rule and then averaged, and
 all arithmetic but the float64 head (``network.classify``) stays in the
-parameter dtype. A batch of two or more windows is split into two shares
-of about equal token counts; each share's gradients are summed in index
-order into a table of their own, and the second table is added into the
-first (see ``twocore``). With two usable CPUs a helper process sums the
-second share; without, this process does. Like every model, a run keeps
-its parameters, its gradient table and Adam's moments as flat tables of
-one layout (``FlatTable``), so the per-batch checks, the averaging, the
-Adam step and the zeroing run once over all the tensors; each element
-goes through the same operations as it would tensor by tensor. Two runs
-with the same model, data, and config produce identical parameters and
-reports, on one core or on two.
+parameter dtype. Each batch goes through ``twocore``'s one split routine,
+which scoring uses too: a batch of two or more windows is cut into two
+shares of about equal token counts, each share's gradients are summed in
+index order into a table of their own, and the second table is added into
+the first. With two usable CPUs a helper process sums the second share;
+without, this process does. Like every model, a run keeps its parameters,
+its gradient table and Adam's moments as flat tables of one layout
+(``FlatTable``), so the per-batch checks, the averaging, the Adam step and
+the zeroing run once over all the tensors; each element goes through the
+same operations as it would tensor by tensor. Two runs with the same model,
+data, and config produce identical parameters and reports, on one core or
+on two.
 
 A run trains only the ``token_emb`` rows its examples use, renumbered
 in id order. Adam leaves a row with zero gradient and zero moments exactly

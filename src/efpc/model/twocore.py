@@ -1,21 +1,21 @@
-"""A second core: the helper process that scores windows and computes
-training gradients.
+"""A second core: the helper process that works on the second share of
+scoring and training calls.
 
-Scoring and training split their work the same way. A call with two or
-more windows, or a training batch of two or more examples, is split into
-two contiguous shares of about equal token counts; a helper process works
-on the second share while this process works on the first, and the
-results are joined in order:
+One routine, ``_split``, serves both kinds of call. It cuts two or more
+windows into two contiguous shares of about equal token counts; a helper
+process works on the second share while this process works on the first,
+both through ``_share``, and the results are joined in order:
 
 - scoring joins the probabilities in window order, the same bits the
   serial loop gives;
 - training sums each share's gradients into a table of its own, in
   example order, and adds the second table into the first once.
 
-Training splits a batch this way on one core too, with this process
-summing both shares, so one core and two give the same bits. This
-process's share goes through the functions the caller passes in; the
-helper calls ``network``'s own.
+Without the helper, this process works on both shares, so one core and
+two give the same bits. If this process's share raises, scoring reads the
+helper's reply, so none is left queued, and keeps the helper; training
+stops it. This process's share goes through the functions the caller
+passes in; the helper calls ``network``'s own.
 
 One helper serves the process. It is forked on the first such call and
 is stopped when the process exits; it exits by itself when this process
@@ -66,25 +66,21 @@ from .tokenizer import TokenizedExample
 _RESERVE, _SCARCE_RESERVE = 64 << 30, 64 << 20
 
 
-def _score(params: ModelParams, config, windows: list[TokenizedExample], encode,
-           classify) -> np.ndarray:
-    """Preserve probabilities of the windows' original words, one window
-    after another, through the given ``encode`` and ``classify``."""
-    return np.concatenate(
-        [classify(params, encode(params, config, w.token_ids))[w.boundary :, PRESERVE_COL]
-         for w in windows]
-    )
-
-
-def _backward(params: ModelParams, config, windows: list[TokenizedExample], loss_variant: str,
-              table: FlatTable, backward) -> tuple[list[float], np.ndarray]:
-    """Each window's loss and the preserve probabilities of their original
-    words, with their gradients summed into ``table`` through ``backward``,
-    all in window order."""
+def _share(params: ModelParams, config, windows: list[TokenizedExample],
+           loss_variant: str | None, table: FlatTable | None,
+           ops: tuple) -> tuple[list[float], np.ndarray]:
+    """Each window's loss and the preserve probabilities of the windows'
+    original words, window after window, through ``ops``, the ``encode``,
+    ``classify`` and ``backward`` to call. With ``loss_variant`` None it
+    scores, with no losses; otherwise it sums the gradients into ``table``."""
+    encode, classify, backward = ops
     losses, preserve = [], []
     for w in windows:
-        loss, _, probs = backward(params, config, w, loss_variant, table)
-        losses.append(loss)
+        if loss_variant is None:
+            probs = classify(params, encode(params, config, w.token_ids))
+        else:
+            loss, _, probs = backward(params, config, w, loss_variant, table)
+            losses.append(loss)
         preserve.append(probs[w.boundary :, PRESERVE_COL])
     return losses, np.concatenate(preserve)
 
@@ -126,19 +122,18 @@ def _serve(conn, parent_end, shared) -> None:
             (config, dtype, shapes, reply_at), windows, loss_variant = msg
             size = sum(math.prod(shape) for shape in shapes.values())
             model = FlatTable(np.frombuffer(shared, dtype, size), shapes)
-            params = ModelParams(model)
-            # the package's own ops: a tracer installed in the parent before
-            # the fork would only collect spans here that nobody reads
-            if loss_variant is None:
-                preserve = _reply(shared, reply_at, None, windows)[2]
-                preserve[...] = _score(params, config, windows, network.encode, network.classify)
-            else:
-                grads, losses, preserve = _reply(shared, reply_at, model, windows)
+            grads, losses, preserve = _reply(shared, reply_at,
+                                             None if loss_variant is None else model, windows)
+            if grads is not None:
                 grads.flat.fill(0)
-                # as in training: a non-finite loss is the caller's to report
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    losses[...], preserve[...] = _backward(params, config, windows, loss_variant,
-                                                           grads, network.backward_detailed)
+            # the package's own ops: a tracer installed in the parent before
+            # the fork would only collect spans here that nobody reads; as in
+            # training, a non-finite loss is the caller's to report
+            quiet = None if loss_variant is None else "ignore"
+            with np.errstate(over=quiet, invalid=quiet, divide=quiet):
+                losses[...], preserve[...] = _share(
+                    ModelParams(model), config, windows, loss_variant, grads,
+                    (network.encode, network.classify, network.backward_detailed))
             conn.send_bytes(b"")
     except Exception:
         return
@@ -194,15 +189,6 @@ class _Helper:
         child_end.close()
         self.alive = True
         atexit.register(self.stop)
-
-    def send(self, msg) -> bool:
-        """Send one message; False, with the helper stopped, if it is gone."""
-        try:
-            self.conn.send(msg)
-            return True
-        except OSError:
-            self.stop()
-            return False
 
     def load(self, shapes: dict[str, tuple[int, ...]], dtype: np.dtype, config,
              reply_bytes: int) -> tuple[FlatTable, tuple] | None:
@@ -302,32 +288,65 @@ def _halfway(lengths: list[int]) -> int:
     return min(range(1, len(lengths)), key=lambda k: abs(2 * prefix[k - 1] - prefix[-1]))
 
 
+def _split(helper: _Helper | None, layout: tuple | None, params: ModelParams, config,
+           windows: list[TokenizedExample], loss_variant: str | None, grads: FlatTable | None,
+           spare: FlatTable | None, ops: tuple) -> tuple[list[float], np.ndarray]:
+    """``_share`` of ``windows``, cut at ``_halfway`` into two shares: the
+    helper, if there is one and the call fits, works on the second while
+    this process works on the first; otherwise this process works on both.
+    Training passes the ``layout`` that names its parameters, sums this
+    process's share into ``grads`` and the second into ``spare``, and adds
+    ``spare`` into ``grads``; scoring passes None for all three and copies
+    its model in (``ship``)."""
+    if len(windows) < 2:
+        return _share(params, config, windows, loss_variant, grads, ops)
+    cut = _halfway([len(w.token_ids) for w in windows])
+    second = windows[cut:]
+    if helper is not None and layout is None:
+        layout = helper.ship(params, config, 8 * sum(len(w.labels) for w in second))
+    try:
+        if sent := layout is not None:
+            helper.conn.send((layout, second, loss_variant))
+    except OSError:  # the helper is gone
+        sent = False
+        helper.stop()
+    try:
+        losses, first = _share(params, config, windows[:cut], loss_variant, grads, ops)
+    except BaseException:
+        # a reply left unread would be taken for the next call's: scoring
+        # reads it and keeps the helper, training does not use it again
+        if sent and loss_variant is None:
+            helper.done()
+        elif sent:
+            helper.stop()
+        raise
+    if sent and helper.done():
+        _, more, rest = _reply(helper.shared, layout[3], spare, second)
+        more = more.tolist()
+    else:
+        if spare is not None:
+            spare.flat.fill(0)
+        more, rest = _share(params, config, second, loss_variant, spare, ops)
+    if spare is not None:
+        grads.flat += spare.flat
+    # a copy: the next call's reply is written over the helper's
+    return losses + more, np.concatenate([first, rest])
+
+
 def score_windows(params: ModelParams, config, windows: list[TokenizedExample], encode,
                   classify) -> np.ndarray:
     """Preserve probabilities of every window's original words,
     concatenated in window order; this process's share goes through
     ``encode`` and ``classify``."""
     # while another thread uses the helper, this call runs serially
-    if len(windows) < 2 or not _helper_lock.acquire(blocking=False):
-        return _score(params, config, windows, encode, classify)
+    locked = len(windows) > 1 and _helper_lock.acquire(blocking=False)
     try:
-        helper = _usable_helper()
-        if helper is None:
-            return _score(params, config, windows, encode, classify)
-        cut = _halfway([len(w.token_ids) for w in windows])
-        second = windows[cut:]
-        layout = helper.ship(params, config, 8 * sum(len(w.labels) for w in second))
-        sent = layout is not None and helper.send((layout, second, None))
-        try:
-            first = _score(params, config, windows[:cut], encode, classify)
-        finally:
-            # read the reply even if this share raised, so none is left queued
-            done = sent and helper.done()
-        if done:
-            return np.concatenate([first, _reply(helper.shared, layout[3], None, second)[2]])
+        helper = _usable_helper() if locked else None
+        return _split(helper, None, params, config, windows, None, None, None,
+                      (encode, classify, None))[1]
     finally:
-        _helper_lock.release()
-    return np.concatenate([first, _score(params, config, second, encode, classify)])
+        if locked:
+            _helper_lock.release()
 
 
 class TrainingRun:
@@ -345,7 +364,7 @@ class TrainingRun:
     def __init__(self, shapes: dict[str, tuple[int, ...]], dtype, config, longest: int,
                  batch_size: int):
         self.config = config
-        self.helper = None
+        self.helper = self.layout = None
         size = sum(math.prod(shape) for shape in shapes.values())
         self.grads = FlatTable(np.zeros(size, dtype), shapes)
         loaded = None
@@ -373,36 +392,14 @@ class TrainingRun:
 
     def __exit__(self, *exc) -> None:
         if self.helper is not None:
-            self.helper = None
+            self.helper = self.layout = None
             _helper_lock.release()
 
     def gradients(self, batch: list[TokenizedExample], loss_variant: str,
                   backward) -> tuple[list[float], np.ndarray]:
         """Each window's loss and the preserve probabilities of the batch's
         original words, in batch order, with the batch's gradient added into
-        ``grads`` share by share, as the module says; this process's share
-        goes through ``backward(params, config, window, loss_variant, table)``."""
-        if len(batch) < 2:
-            return _backward(self.params, self.config, batch, loss_variant, self.grads, backward)
-        cut = _halfway([len(w.token_ids) for w in batch])
-        helper, second = self.helper, batch[cut:]
-        sent = helper is not None and helper.send((self.layout, second, loss_variant))
-        try:
-            losses, first = _backward(self.params, self.config, batch[:cut], loss_variant,
-                                      self.grads, backward)
-        except BaseException:
-            if sent:
-                # a reply left unread would be taken for the next batch's:
-                # the helper is not used again
-                helper.stop()
-            raise
-        if sent and helper.done():
-            _, more, rest = _reply(helper.shared, self.layout[3], self.grads, second)
-            more = more.tolist()
-        else:
-            self.spare.flat.fill(0)
-            more, rest = _backward(self.params, self.config, second, loss_variant, self.spare,
-                                   backward)
-        self.grads.flat += self.spare.flat
-        # a copy: the next batch's reply is written over the helper's
-        return losses + more, np.concatenate([first, rest])
+        ``grads`` share by share (see ``_split``); this process's share goes
+        through ``backward(params, config, window, loss_variant, table)``."""
+        return _split(self.helper, self.layout, self.params, self.config, batch, loss_variant,
+                      self.grads, self.spare, (None, None, backward))

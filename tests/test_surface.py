@@ -3,8 +3,9 @@ holds only names that some file of the project imports through
 ``efpc.model``, so it cannot grow back into a second API surface nobody
 reads; the third-party imports in ``src`` are exactly the declared
 dependencies; no module builds a second parameter or gradient table beside
-the model's one flat table; and importing the CLI loads no HTTP or TLS
-machinery."""
+the model's one flat table; one call site sends the helper process its
+requests, so scoring and training split their calls one way; and importing
+the CLI loads no HTTP or TLS machinery."""
 
 import ast
 import os
@@ -78,6 +79,26 @@ def test_no_module_builds_a_table_of_separate_arrays_from_a_models_tensors():
     # every parameter and gradient table is a FlatTable (zeros_like makes one
     # laid out as another); a dict built from .tensors would be a second kind
     assert not _dict_comprehensions_over_tensors()
+
+
+def _requests_sent() -> list[str]:
+    """``file:line`` of every ``send(...)`` call in ``src`` but ``send(None)``,
+    which asks the helper to exit."""
+    found = []
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "send"
+                    and not (len(node.args) == 1 and isinstance(node.args[0], ast.Constant)
+                             and node.args[0].value is None)):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_one_call_site_sends_the_helper_its_requests():
+    # scoring and training share one split routine; a second site that sends
+    # a request would be a second copy of it
+    assert len(_requests_sent()) == 1, _requests_sent()
 
 
 def _third_party_imports() -> set[str]:

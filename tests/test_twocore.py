@@ -1,5 +1,5 @@
 """Training and held-out scoring on two cores give the bits of one core,
-and the helper's failures leave them so."""
+on any mix of windows, and the helper's failures leave them so."""
 
 import errno
 import mmap
@@ -13,12 +13,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efpc import compressor
 from efpc.align import LabeledExample
 from efpc.compressor import CompressionRequest, compress, score_words
 from efpc.errors import NumericalDivergence
-from efpc.model import ModelParams, prepare_examples, token_accuracy, train, training, twocore
+from efpc.model import (SEP_ID, ModelParams, TokenizedExample, backward_detailed, classify, encode,
+                        prepare_examples, token_accuracy, train, training, twocore)
+from efpc.model.losses import PRESERVE_COL
 
 from helpers import fast_train_config, parity_examples, small_model, use_cpus
 
@@ -431,6 +435,105 @@ def test_each_request_names_its_model_across_dtypes_layer_counts_and_a_training_
             # the helper scored the second share
             assert 0 < len(calls) < one_cpu_calls
         assert twocore._helper.alive
+    finally:
+        twocore._helper.stop()
+
+
+@pytest.mark.parametrize("holder", ["another call", "a training run"])
+def test_a_call_while_the_helper_is_held_scores_every_window_here(monkeypatch, holder):
+    data = _uneven_data()
+    model = _model(data)
+    words = [w for ex in data for w in ex.words[1:]]
+    use_cpus(monkeypatch, 1)
+    calls = _counted(monkeypatch, "encode", compressor)
+    want = score_words(model, "alpha", words).tobytes()
+    one_cpu_calls = len(calls)
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(twocore, "_helper", None)  # this test's own helper
+    try:
+        assert score_words(model, "alpha", words).tobytes() == want  # the helper now exists
+        sent, send = [], twocore._helper.conn.send
+
+        def recorded(msg):
+            sent.append(msg)
+            send(msg)
+
+        monkeypatch.setattr(twocore._helper.conn, "send", recorded)
+        tensors = model.params.tensors
+        held = (twocore._helper_lock if holder == "another call" else
+                twocore.TrainingRun(tensors.shapes, tensors.flat.dtype, model.config, 16, 4))
+        calls = _counted(monkeypatch, "encode", compressor)
+        with held:
+            assert twocore._helper_lock.locked()
+            assert score_words(model, "alpha", words).tobytes() == want
+        assert len(calls) == one_cpu_calls and not sent
+        # once free again, the helper takes the next call's second share
+        calls = _counted(monkeypatch, "encode", compressor)
+        assert score_words(model, "alpha", words).tobytes() == want
+        assert 0 < len(calls) < one_cpu_calls and len(sent) == 1
+    finally:
+        twocore._helper.stop()
+
+
+@st.composite
+def _window(draw, vocab_size: int, max_len: int) -> TokenizedExample:
+    """A window of 1 to ``max_len`` tokens, with boundary 0 or an
+    instruction prefix that ends in the separator."""
+    length = draw(st.integers(1, max_len))
+    boundary = draw(st.sampled_from([0, *range(2, length)]))
+    ids = draw(st.lists(st.integers(SEP_ID + 1, vocab_size - 1), min_size=length,
+                        max_size=length))
+    if boundary:
+        ids[boundary - 1] = SEP_ID
+    labels = draw(st.lists(st.integers(0, 1), min_size=length - boundary,
+                           max_size=length - boundary))
+    return TokenizedExample(tuple(ids), tuple(labels), boundary)
+
+
+def _counting(fn, calls: list):
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+
+    return counted
+
+
+def test_scoring_and_a_batch_on_two_cores_give_the_one_cpu_bits_for_any_mix_of_windows(
+        monkeypatch):
+    data = _uneven_data()
+    models = [_model(data, dtype, num_layers=1) for dtype in (np.float32, np.float64)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(models), st.sampled_from(["mask", "drop"]), st.data())
+    def check(model, loss_variant, drawn):
+        config, tensors = model.config, model.params.tensors
+        windows = drawn.draw(st.lists(_window(config.vocab_size, config.max_seq_len),
+                                      min_size=1, max_size=10))
+        got = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            calls = []
+            preserve = twocore.score_windows(model.params, config, windows,
+                                             _counting(encode, calls), classify)
+            with twocore.TrainingRun(tensors.shapes, tensors.flat.dtype, config,
+                                     max(len(w.token_ids) for w in windows), len(windows)) as run:
+                run.params.tensors.flat[...] = tensors.flat
+                losses, probs = run.gradients(windows, loss_variant,
+                                              _counting(backward_detailed, calls))
+                got.append((preserve.tobytes(), np.array(losses).tobytes(), probs.tobytes(),
+                            run.grads.flat.tobytes()))
+            # on two CPUs, the helper took the second share of both calls
+            own = (twocore._halfway([len(w.token_ids) for w in windows])
+                   if cpus > 1 and len(windows) > 1 else len(windows))
+            assert len(calls) == 2 * own
+        assert got[0] == got[1]
+        serial = [classify(model.params, encode(model.params, config, w.token_ids))
+                  [w.boundary :, PRESERVE_COL] for w in windows]
+        assert got[0][0] == np.concatenate(serial).tobytes()
+
+    monkeypatch.setattr(twocore, "_helper", None)  # this test's own helper
+    try:
+        check()
     finally:
         twocore._helper.stop()
 
