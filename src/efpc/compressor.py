@@ -148,7 +148,11 @@ def _select(original: tuple[str, ...], n_keep: int, probs: np.ndarray) -> Compre
 
 
 def compress(model: Model, request: CompressionRequest) -> CompressionResult:
-    """Score, pick the top target_keep_count words, restore input order."""
+    """Score, pick the top target_keep_count words, restore input order.
+
+    Scoring leaves ``model``'s parameters read-only (see ``model.twocore``):
+    copy them to change them, for example with
+    ``ModelParams(dict(model.params.tensors))``."""
     original, n_keep = _plan(request)
     return _select(original, n_keep, score_words(model, request.instruction, original))
 

@@ -4,17 +4,17 @@ Deterministic by construction: example order is shuffled by a seeded RNG,
 each batch's gradient is summed by one fixed rule and then averaged, and
 all arithmetic but the float64 head (``network.classify``) stays in the
 parameter dtype. Each batch goes through ``twocore``'s one split routine,
-which scoring uses too: a batch of two or more windows is cut into two
-shares of about equal token counts, each share's gradients are summed in
-index order into a table of their own, and the second table is added into
-the first. With two usable CPUs a helper process sums the second share;
-without, this process does. Like every model, a run keeps its parameters,
-its gradient table and Adam's moments as flat tables of one layout
-(``FlatTable``), so the per-batch checks, the averaging, the Adam step and
-the zeroing run once over all the tensors; each element goes through the
-same operations as it would tensor by tensor. Two runs with the same model,
-data, and config produce identical parameters and reports, on one core or
-on two.
+as scoring does, with its failure rules: a batch of two or more windows is
+cut into two shares of about equal token counts, each share's gradients
+are summed in index order into a table of their own, and the second table
+is added into the first. With two usable CPUs a helper process sums the
+second share; without, this process does. Like every model, a run keeps
+its parameters, its gradient table and Adam's moments as flat tables of
+one layout (``FlatTable``), so the per-batch checks, the averaging, the
+Adam step and the zeroing run once over all the tensors; each element goes
+through the same operations as it would tensor by tensor. Two runs with
+the same model, data, and config produce identical parameters and
+reports, on one core or on two.
 
 A run trains only the ``token_emb`` rows its examples use, renumbered
 in id order. Adam leaves a row with zero gradient and zero moments exactly
@@ -119,11 +119,10 @@ def train(
     ]
     emb = model.params["token_emb"]
     shapes = {**model.params.tensors.shapes, "token_emb": (rows.size, *emb.shape[1:])}
-    longest = max(len(ex.token_ids) for ex in examples)
     stats: list[EpochStats] = []
 
-    # the helper's reply is sized for a batch, and no batch holds more than every example
-    with twocore.TrainingRun(shapes, emb.dtype, model.config, longest,
+    # no batch holds more than every example: one-window batches fork nothing
+    with twocore.TrainingRun(shapes, emb.dtype, model.config,
                              min(config.batch_size, len(examples))) as run:
         params, grads = run.params, run.grads
         for k, t in params.tensors.items():

@@ -12,22 +12,24 @@ both through ``_share``, and the results are joined in order:
   example order, and adds the second table into the first once.
 
 Without the helper, this process works on both shares, so one core and
-two give the same bits. If this process's share raises, scoring reads the
-helper's reply, so none is left queued, and keeps the helper; training
-stops it. This process's share goes through the functions the caller
-passes in; the helper calls ``network``'s own.
+two give the same bits. The two kinds of call differ only in what the
+helper's reply holds. If this process's share raises, the helper's reply
+is read, so none is left queued, and the helper is kept. This process's
+share goes through the functions the caller passes in; the helper calls
+``network``'s own.
 
 One helper serves the process. It is forked on the first such call and
 is stopped when the process exits; it exits by itself when this process
 dies. Just before the fork the process maps one memory file, which the
 helper inherits and which is never replaced: the model the helper works
-with sits at its start, as one flat table, and the helper writes its
-replies into the area after it (see ``_reply``). Each request names its
+with sits at its start, as one flat table (see ``_table``), and the helper
+writes each reply right after it (see ``_reply``). Each request names its
 model, so the helper keeps nothing between requests. Scoring copies a
-model in only when the mapping does not hold it already; a
-``TrainingRun`` keeps the run's parameters there, so the helper reads the
-parameters Adam updated in place. A call whose model and reply do not
-fit runs on one core.
+model in only when the mapping does not hold it already, and makes the
+model read-only, so that the copy stays the model's; a ``TrainingRun``
+keeps the run's parameters there, so the helper reads the parameters Adam
+updated in place. A call whose reply does not fit after the model runs on
+one core and keeps the helper.
 
 With one window or example, fewer than two usable CPUs, BLAS on more than
 one thread (see ``efpc``), or no ``os.memfd_create``, nothing is forked.
@@ -90,28 +92,41 @@ def _padded(nbytes: int) -> int:
     return -(-nbytes // 64) * 64
 
 
-def _reply(shared, at: int, table: FlatTable | None, windows: list[TokenizedExample]) -> tuple:
+def _table(shared, dtype, shapes: dict[str, tuple[int, ...]]) -> FlatTable:
+    """The table of the given dtype and shapes that starts ``shared``: the
+    model both processes work with."""
+    return FlatTable(np.frombuffer(shared, dtype, sum(math.prod(s) for s in shapes.values())),
+                     shapes)
+
+
+def _reply(shared, model: FlatTable, windows: list[TokenizedExample],
+           training: bool) -> tuple | None:
     """``(grads, losses, preserve)``: views of the reply about ``windows``
-    from byte ``at`` of ``shared``. A training reply, for a model laid out
-    as ``table``, starts with a gradient table of that layout, padded to 64
-    bytes, then each window's loss; a scoring reply has neither. Both then
-    hold the preserve probabilities of the windows' original words, in
-    window order, float64 like the losses."""
-    grads, n = None, 0
-    if table is not None:
-        grads = FlatTable(np.frombuffer(shared, table.flat.dtype, table.flat.size, at),
-                          table.shapes)
-        at, n = at + _padded(grads.flat.nbytes), len(windows)
-    values = np.frombuffer(shared, np.float64, n + sum(len(w.labels) for w in windows), at)
+    for ``model``, laid out as the table that starts ``shared``; None if it
+    does not fit. The reply starts at the model's end, padded to 64 bytes.
+    A training reply starts with a gradient table of the model's layout,
+    padded the same way, then each window's loss; a scoring reply has
+    neither. Both then hold the preserve probabilities of the windows'
+    original words, in window order, float64 like the losses."""
+    grads, at = None, _padded(model.flat.nbytes)
+    n = len(windows) if training else 0
+    size = n + sum(len(w.labels) for w in windows)
+    if at * (1 + training) + 8 * size > len(shared):  # the gradient table takes ``at`` bytes
+        return None
+    if training:
+        grads = FlatTable(np.frombuffer(shared, model.flat.dtype, model.flat.size, at),
+                          model.shapes)
+        at *= 2
+    values = np.frombuffer(shared, np.float64, size, at)
     return grads, values[:n], values[n:]
 
 
 def _serve(conn, parent_end, shared) -> None:
     """The helper's loop, over ``shared``, the mapping it inherited. Each
-    request, ``((config, dtype, shapes, reply_at), windows, loss_variant)``,
-    names its model, the flat table at the mapping's start; it is scoring
-    if ``loss_variant`` is None, else training. Its reply (see ``_reply``)
-    is followed by an empty message. ``None`` or a closed pipe ends the
+    request, ``((config, dtype, shapes), windows, loss_variant)``, names its
+    model, the flat table at the mapping's start; it is scoring if
+    ``loss_variant`` is None, else training. Its reply (see ``_reply``) is
+    followed by an empty message. ``None`` or a closed pipe ends the
     loop, and so does any failure: the parent then computes the share
     itself and meets the same error there, if it is one."""
     parent_end.close()  # so the parent's exit closes the pipe and ends this loop
@@ -119,11 +134,9 @@ def _serve(conn, parent_end, shared) -> None:
     gc.freeze()  # collections leave the pages shared with the parent alone
     try:
         while (msg := conn.recv()) is not None:
-            (config, dtype, shapes, reply_at), windows, loss_variant = msg
-            size = sum(math.prod(shape) for shape in shapes.values())
-            model = FlatTable(np.frombuffer(shared, dtype, size), shapes)
-            grads, losses, preserve = _reply(shared, reply_at,
-                                             None if loss_variant is None else model, windows)
+            (config, dtype, shapes), windows, loss_variant = msg
+            model = _table(shared, dtype, shapes)
+            grads, losses, preserve = _reply(shared, model, windows, loss_variant is not None)
             if grads is not None:
                 grads.flat.fill(0)
             # the package's own ops: a tracer installed in the parent before
@@ -153,8 +166,8 @@ class _Helper:
         import resource
 
         self.owner = os.getpid()
-        # a weak reference to the params scoring copied into the mapping, and
-        # their layout: None once anything else may have been written there
+        # a weak reference to the params whose flat table starts the mapping,
+        # and their dtype and shapes: None until a table is written there
         self.shipped: tuple[weakref.ref, tuple] | None = None
         self.alive = False
         unlimited = resource.RLIM_INFINITY
@@ -190,32 +203,15 @@ class _Helper:
         self.alive = True
         atexit.register(self.stop)
 
-    def load(self, shapes: dict[str, tuple[int, ...]], dtype: np.dtype, config,
-             reply_bytes: int) -> tuple[FlatTable, tuple] | None:
-        """A table of the given shapes at the start of the mapping, and the
-        layout that names it and ``config`` to the helper, with
-        ``reply_bytes`` free after it; None if they do not fit."""
-        size = sum(math.prod(shape) for shape in shapes.values())
-        reply_at = _padded(size * dtype.itemsize)
-        if reply_at + reply_bytes > len(self.shared):
-            return None
-        self.shipped = None  # the caller writes the table over what was there
-        return (FlatTable(np.frombuffer(self.shared, dtype, size), shapes),
-                (config, dtype.str, shapes, reply_at))
-
-    def ship(self, params: ModelParams, config, reply_bytes: int) -> tuple | None:
-        """``load``'s layout for ``params``, copying their flat table in
-        unless it is there already; None if it and the reply do not fit."""
-        if (self.shipped is not None and self.shipped[0]() is params
-                and len(self.shared) >= self.shipped[1][3] + reply_bytes):
-            return (config, *self.shipped[1][1:])
-        loaded = self.load(params.tensors.shapes, params.tensors.flat.dtype, config, reply_bytes)
-        if loaded is None:
-            return None
-        table, layout = loaded
-        table.flat[...] = params.tensors.flat
-        self.shipped = (weakref.ref(params), layout)
-        return layout
+    def ship(self, params: ModelParams, config) -> tuple:
+        """The layout that names ``params`` and ``config`` to the helper,
+        with the flat table of ``params`` copied to the start of the
+        mapping unless it is there already."""
+        if self.shipped is None or self.shipped[0]() is not params:
+            tensors = params.tensors
+            _table(self.shared, tensors.flat.dtype, tensors.shapes).flat[...] = tensors.flat
+            self.shipped = (weakref.ref(params), (tensors.flat.dtype.str, tensors.shapes))
+        return (config, *self.shipped[1])
 
     def done(self) -> bool:
         """Wait for the answer to the last request: True once its reply is in
@@ -288,40 +284,36 @@ def _halfway(lengths: list[int]) -> int:
     return min(range(1, len(lengths)), key=lambda k: abs(2 * prefix[k - 1] - prefix[-1]))
 
 
-def _split(helper: _Helper | None, layout: tuple | None, params: ModelParams, config,
+def _split(helper: _Helper | None, params: ModelParams, config,
            windows: list[TokenizedExample], loss_variant: str | None, grads: FlatTable | None,
            spare: FlatTable | None, ops: tuple) -> tuple[list[float], np.ndarray]:
     """``_share`` of ``windows``, cut at ``_halfway`` into two shares: the
-    helper, if there is one and the call fits, works on the second while
-    this process works on the first; otherwise this process works on both.
-    Training passes the ``layout`` that names its parameters, sums this
-    process's share into ``grads`` and the second into ``spare``, and adds
-    ``spare`` into ``grads``; scoring passes None for all three and copies
-    its model in (``ship``)."""
+    helper, if there is one and this call's reply fits the mapping, works
+    on the second while this process works on the first; otherwise this
+    process works on both. Training sums this process's share into
+    ``grads`` and the second into ``spare``, the reply's gradient table,
+    and adds ``spare`` into ``grads``; scoring passes None for both."""
     if len(windows) < 2:
         return _share(params, config, windows, loss_variant, grads, ops)
     cut = _halfway([len(w.token_ids) for w in windows])
     second = windows[cut:]
-    if helper is not None and layout is None:
-        layout = helper.ship(params, config, 8 * sum(len(w.labels) for w in second))
+    reply = None
+    if helper is not None and helper.alive:
+        reply = _reply(helper.shared, params.tensors, second, loss_variant is not None)
     try:
-        if sent := layout is not None:
-            helper.conn.send((layout, second, loss_variant))
+        if sent := reply is not None:
+            helper.conn.send((helper.ship(params, config), second, loss_variant))
     except OSError:  # the helper is gone
         sent = False
         helper.stop()
     try:
         losses, first = _share(params, config, windows[:cut], loss_variant, grads, ops)
     except BaseException:
-        # a reply left unread would be taken for the next call's: scoring
-        # reads it and keeps the helper, training does not use it again
-        if sent and loss_variant is None:
+        if sent:  # a reply left unread would be taken for the next call's
             helper.done()
-        elif sent:
-            helper.stop()
         raise
     if sent and helper.done():
-        _, more, rest = _reply(helper.shared, layout[3], spare, second)
+        _, more, rest = reply
         more = more.tolist()
     else:
         if spare is not None:
@@ -337,12 +329,16 @@ def score_windows(params: ModelParams, config, windows: list[TokenizedExample], 
                   classify) -> np.ndarray:
     """Preserve probabilities of every window's original words,
     concatenated in window order; this process's share goes through
-    ``encode`` and ``classify``."""
+    ``encode`` and ``classify``. ``params`` are made read-only, so that a
+    write cannot leave the helper's copy of them behind."""
+    if (tensors := params.tensors).flat.flags.writeable:
+        for t in (tensors.flat, *tensors.values()):
+            t.flags.writeable = False
     # while another thread uses the helper, this call runs serially
     locked = len(windows) > 1 and _helper_lock.acquire(blocking=False)
     try:
         helper = _usable_helper() if locked else None
-        return _split(helper, None, params, config, windows, None, None, None,
+        return _split(helper, params, config, windows, None, None, None,
                       (encode, classify, None))[1]
     finally:
         if locked:
@@ -355,44 +351,42 @@ class TrainingRun:
 
     ``params`` holds a FlatTable of the given shapes, whose embeddings come
     first; ``grads`` is a zero FlatTable of the same layout. With a usable
-    helper, the parameters sit at the start of the shared mapping, and the
-    run holds the helper from ``__enter__`` to ``__exit__``; otherwise
-    they are private and this process computes both shares of every
-    batch. The caller fills the parameters in before the first batch.
+    helper and batches of two or more windows, the parameters sit at the
+    start of the shared mapping, and the run holds the helper from
+    ``__enter__`` to ``__exit__``; otherwise they are private and this
+    process computes both shares of every batch. The caller fills the
+    parameters in before the first batch.
     """
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]], dtype, config, longest: int,
-                 batch_size: int):
+    def __init__(self, shapes: dict[str, tuple[int, ...]], dtype, config, batch_size: int):
         self.config = config
-        self.helper = self.layout = None
+        self.helper = reply = None
         size = sum(math.prod(shape) for shape in shapes.values())
         self.grads = FlatTable(np.zeros(size, dtype), shapes)
-        loaded = None
         if batch_size > 1 and _helper_lock.acquire(blocking=False):
-            # a batch's reply (see _reply): its second share's table, then the
-            # losses and probabilities of at most batch_size - 1 windows of the longest
-            reply = _padded(self.grads.flat.nbytes) + 8 * (batch_size - 1) * (1 + longest)
             try:
                 helper = _usable_helper()
-                loaded = helper.load(shapes, dtype, config, reply) if helper else None
+                # room for the parameters, then for the gradient table that starts each reply
+                reply = helper and _reply(helper.shared, self.grads, [], True)
             finally:
-                if loaded is None:
+                if reply is None:
                     _helper_lock.release()
-        if loaded is None:
+        if reply is None:
             self.params = ModelParams(FlatTable(np.empty(size, dtype), shapes))
             self.spare = zeros_like(self.grads)
         else:
-            table, self.layout = loaded
-            self.helper, self.params = helper, ModelParams(table)
             # where the second share's gradients are summed: the reply's table
-            self.spare = _reply(helper.shared, self.layout[3], table, [])[0]
+            self.helper, self.spare = helper, reply[0]
+            self.params = ModelParams(_table(helper.shared, self.grads.flat.dtype, shapes))
+            # the run writes its parameters over what was there
+            helper.shipped = (weakref.ref(self.params), (self.grads.flat.dtype.str, shapes))
 
     def __enter__(self) -> TrainingRun:
         return self
 
     def __exit__(self, *exc) -> None:
         if self.helper is not None:
-            self.helper = self.layout = None
+            self.helper = None
             _helper_lock.release()
 
     def gradients(self, batch: list[TokenizedExample], loss_variant: str,
@@ -401,5 +395,5 @@ class TrainingRun:
         original words, in batch order, with the batch's gradient added into
         ``grads`` share by share (see ``_split``); this process's share goes
         through ``backward(params, config, window, loss_variant, table)``."""
-        return _split(self.helper, self.layout, self.params, self.config, batch, loss_variant,
-                      self.grads, self.spare, (None, None, backward))
+        return _split(self.helper, self.params, self.config, batch, loss_variant, self.grads,
+                      self.spare, (None, None, backward))

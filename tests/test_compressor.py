@@ -312,6 +312,31 @@ def test_one_usable_cpu_starts_no_process(monkeypatch, cpus):
     assert twocore._helper is None
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_scored_model_is_read_only_so_both_shares_score_the_same_weights(monkeypatch, cpus):
+    # the helper holds its own copy of a scored model, found again by the
+    # model's identity: a write in place would reach one share and not the other
+    model = _random_model(np.float32)
+    original = split_words(_text(50, 9))
+    use_cpus(monkeypatch, cpus)
+    before = score_words(model, "amber", original)
+    tensors = model.params.tensors
+    with pytest.raises(ValueError, match="read-only"):
+        tensors["cls_b"] = np.array([1, -1], np.float32)
+    with pytest.raises(ValueError, match="read-only"):
+        tensors.flat[-1] += 1
+    with pytest.raises(ValueError, match="read-only"):
+        model.params["cls_w"][0, 0] = 0
+    assert np.array_equal(score_words(model, "amber", original), before)
+    # a copy can be changed, and is scored with its own weights on every share
+    changed = Model(config=model.config, vocab=model.vocab, params=ModelParams(dict(tensors)))
+    changed.params.tensors["cls_b"] = np.array([1, -1], np.float32)
+    got = score_words(changed, "amber", original)
+    use_cpus(monkeypatch, 1)
+    assert np.array_equal(got, score_words(changed, "amber", original))
+    assert not np.array_equal(got, before)
+
+
 def test_a_share_that_raises_leaves_no_reply_queued(monkeypatch):
     model = _random_model(np.float64)
     original = split_words(_text(70, 8))

@@ -4,8 +4,9 @@ holds only names that some file of the project imports through
 reads; the third-party imports in ``src`` are exactly the declared
 dependencies; no module builds a second parameter or gradient table beside
 the model's one flat table; one call site sends the helper process its
-requests, so scoring and training split their calls one way; and importing
-the CLI loads no HTTP or TLS machinery."""
+requests, so scoring and training split their calls one way; two functions
+build arrays over the mapping the helper process shares, so it has one
+layout; and importing the CLI loads no HTTP or TLS machinery."""
 
 import ast
 import os
@@ -99,6 +100,47 @@ def test_one_call_site_sends_the_helper_its_requests():
     # scoring and training share one split routine; a second site that sends
     # a request would be a second copy of it
     assert len(_requests_sent()) == 1, _requests_sent()
+
+
+def _name(node: ast.AST) -> str | None:
+    """The name a ``Name`` or ``Attribute`` node ends in."""
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+class _MappingViews(ast.NodeVisitor):
+    """Collects the functions that call ``frombuffer``: in ``twocore``, on
+    anything, since every buffer there is the mapping the helper shares;
+    elsewhere, on a name or attribute ``shared``, as the mapping is called."""
+
+    def __init__(self, module: str):
+        self.module, self.function, self.found = module, None, set()
+
+    def visit_FunctionDef(self, node):
+        outer, self.function = self.function, node.name
+        self.generic_visit(node)
+        self.function = outer
+
+    def visit_Call(self, node):
+        if _name(node.func) == "frombuffer" and node.args and (
+                self.module == "twocore" or any(_name(n) == "shared"
+                                                for n in ast.walk(node.args[0]))):
+            self.found.add(f"{self.module}.{self.function}")
+        self.generic_visit(node)
+
+
+def _mapping_views() -> set[str]:
+    found = set()
+    for path in SRC.rglob("*.py"):
+        views = _MappingViews(path.stem)
+        views.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found |= views.found
+    return found
+
+
+def test_two_functions_lay_out_the_mapping_the_helper_shares():
+    # the model's table at the start, then the reply after it: a third
+    # function that views the mapping would be a second layout
+    assert _mapping_views() == {"twocore._table", "twocore._reply"}
 
 
 def _third_party_imports() -> set[str]:

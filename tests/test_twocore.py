@@ -190,28 +190,37 @@ def test_a_helper_killed_between_batches_leaves_the_bits_and_no_zombie(monkeypat
         os.waitpid(killed[0], os.WNOHANG)
 
 
-def test_a_share_that_raises_stops_and_reaps_the_helper(monkeypatch):
-    # the helper's reply to the interrupted batch is never read, so the
-    # helper cannot be asked again
+def test_a_share_that_raises_keeps_the_helper_and_leaves_no_reply_queued(monkeypatch):
+    # as in scoring, the helper's reply to the failed batch is read, so the
+    # helper can take the next run's second shares
     data = _uneven_data()
     model = _model(data)
     config = fast_train_config(epochs=1, batch_size=4)
+    use_cpus(monkeypatch, 1)
+    want, want_report = train(model, data, config)
     use_cpus(monkeypatch, 2)
     monkeypatch.setattr(twocore, "_helper", None)  # this test's own helper
     original = training.backward_detailed
 
     def failing(*args):
-        if twocore._helper is not None:
-            raise RuntimeError("this process's share failed")
-        return original(*args)
+        raise RuntimeError("this process's share failed")
 
-    monkeypatch.setattr(training, "backward_detailed", failing)
-    with pytest.raises(RuntimeError, match="share failed"):
-        train(model, data, config)
-    helper = twocore._helper
-    assert not helper.alive
-    with pytest.raises(ChildProcessError):  # reaped: not left a zombie
-        os.waitpid(helper.pid, os.WNOHANG)
+    try:
+        monkeypatch.setattr(training, "backward_detailed", failing)
+        with pytest.raises(RuntimeError, match="share failed"):
+            train(model, data, config)
+        helper = twocore._helper
+        assert helper.alive and not helper.conn.poll()
+        assert not twocore._helper_lock.locked()
+        monkeypatch.setattr(training, "backward_detailed", original)
+        calls = _counted(monkeypatch, "backward_detailed")
+        got, report = train(model, data, config)
+        assert report == want_report
+        _assert_same_bits(got, want)
+        assert len(calls) == sum(map(_own_share, _batches(model, data, config)))
+        assert twocore._helper is helper and helper.alive
+    finally:
+        twocore._helper.stop()
 
 
 def test_one_usable_cpu_trains_and_scores_without_a_process(monkeypatch):
@@ -226,6 +235,38 @@ def test_one_usable_cpu_trains_and_scores_without_a_process(monkeypatch):
     trained, _ = train(model, data, fast_train_config(epochs=1, batch_size=4))
     token_accuracy(trained, data)
     assert twocore._helper is None
+
+
+@pytest.mark.parametrize("one_window", ["batch_size=1", "one example"])
+def test_one_window_batches_fork_nothing_and_leave_the_helpers_model(monkeypatch, one_window):
+    data = _uneven_data()
+    model = _model(data)
+    config = fast_train_config(epochs=2, batch_size=4)
+    if one_window == "batch_size=1":
+        config = replace(config, batch_size=1)
+    else:
+        data = data[:1]
+    assert max(map(len, _batches(model, data, config))) == 1
+    use_cpus(monkeypatch, 1)
+    want, want_report = train(model, data, config)
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(twocore, "_helper", None)  # this test's own helper
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "fork", lambda: pytest.fail("a process was started"))
+        got, report = train(model, data, config)
+    assert report == want_report and twocore._helper is None
+    _assert_same_bits(got, want)
+    scored = _model(_uneven_data())
+    try:
+        token_accuracy(scored, _uneven_data())  # the helper now holds this model
+        helper = twocore._helper
+        got, report = train(model, data, config)
+        assert report == want_report
+        _assert_same_bits(got, want)
+        assert twocore._helper is helper and helper.alive
+        assert helper.shipped[0]() is scored.params
+    finally:
+        twocore._helper.stop()
 
 
 def _one_cpu_calls(model, data, config):
@@ -461,7 +502,7 @@ def test_a_call_while_the_helper_is_held_scores_every_window_here(monkeypatch, h
         monkeypatch.setattr(twocore._helper.conn, "send", recorded)
         tensors = model.params.tensors
         held = (twocore._helper_lock if holder == "another call" else
-                twocore.TrainingRun(tensors.shapes, tensors.flat.dtype, model.config, 16, 4))
+                twocore.TrainingRun(tensors.shapes, tensors.flat.dtype, model.config, 4))
         calls = _counted(monkeypatch, "encode", compressor)
         with held:
             assert twocore._helper_lock.locked()
@@ -516,7 +557,7 @@ def test_scoring_and_a_batch_on_two_cores_give_the_one_cpu_bits_for_any_mix_of_w
             preserve = twocore.score_windows(model.params, config, windows,
                                              _counting(encode, calls), classify)
             with twocore.TrainingRun(tensors.shapes, tensors.flat.dtype, config,
-                                     max(len(w.token_ids) for w in windows), len(windows)) as run:
+                                     len(windows)) as run:
                 run.params.tensors.flat[...] = tensors.flat
                 losses, probs = run.gradients(windows, loss_variant,
                                               _counting(backward_detailed, calls))
